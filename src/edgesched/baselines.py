@@ -131,20 +131,16 @@ class RandomPolicy(BasePolicy):
 
 
 class LearnedPolicy(BasePolicy):
-    """Acts from a frozen policy snapshot, greedily by default."""
+    """Acts greedily from a frozen policy snapshot."""
 
-    def __init__(self, snapshot: PolicySnapshot, deterministic: bool = True):
+    def __init__(self, snapshot: PolicySnapshot):
         self.snapshot = snapshot
-        self.deterministic = deterministic
 
     def decide(self, ctx: DecisionContext) -> tuple[ActionChoice, float]:
         dist = self.snapshot.action_probs(
             ctx.corr_features[None, :], ctx.question_vec[None, :]
         )[0]
-        if self.deterministic:
-            a = int(np.argmax(dist))
-        else:
-            a = 0 if ctx.rng.random() < dist[0] else 1
+        a = int(np.argmax(dist))
         return ActionChoice(a), float(dist[a])
 
 

@@ -3,7 +3,8 @@
 Config files use INI sections ([experiment], [workload], [store], [env],
 [trainer], [encoder]); every option must name a known field and parse to the
 field's type, otherwise loading fails with a :class:`ConfigError` pointing
-at the offending entry.
+at the offending entry.  Values are taken literally: ``%`` is an ordinary
+character, not an interpolation marker.
 """
 
 from __future__ import annotations
@@ -303,7 +304,9 @@ def load_config(path) -> ExperimentConfig:
     """Read an INI config file into an :class:`ExperimentConfig`."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), interpolation=None
+    )
     try:
         parser.read(path)
     except configparser.Error as exc:

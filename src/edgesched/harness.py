@@ -11,6 +11,7 @@ completed requests and written as CSV or JSON lines.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -323,24 +324,10 @@ def _window_from(row: dict, where: str) -> MetricsWindow:
 
 
 def write_transition_log(path, transitions: list[Transition]) -> int:
-    """Dump a processing log as JSON lines; returns the row count."""
+    """Dump transitions as JSON lines of their fields; returns the row count."""
     with open(path, "w") as fh:
         for t in transitions:
-            row = {
-                "slot": t.slot,
-                "server": t.server,
-                "user": t.user,
-                "request_id": t.request_id,
-                "action": t.action,
-                "resolved": t.resolved,
-                "action_prob": t.action_prob,
-                "q": t.q,
-                "d": t.d,
-                "r": t.r,
-                "fallback": t.fallback,
-                "topic": t.topic,
-            }
-            fh.write(json.dumps(row) + "\n")
+            fh.write(json.dumps(dataclasses.asdict(t)) + "\n")
     return len(transitions)
 
 
@@ -352,7 +339,6 @@ class _SlotSource:
     """Uniform per-slot request supply from a generator or a replay file."""
 
     def __init__(self, cfg: ExperimentConfig):
-        self.cfg = cfg
         if cfg.workload_file:
             requests = load_workload(cfg.workload_file, dim=cfg.dim)
             if any(r.server >= cfg.servers for r in requests):
@@ -417,44 +403,116 @@ def _make_heuristic(cfg: ExperimentConfig) -> BasePolicy:
     raise ConfigError(f"{cfg.policy!r} is not a heuristic policy")
 
 
-def _build_env(cfg: ExperimentConfig, seed: int) -> EdgeEnv:
-    stores = [
-        VectorStore(
-            dim=cfg.dim,
-            nlist=cfg.nlist,
-            min_candidates=cfg.min_candidates,
-            rebuild_every=cfg.rebuild_every,
-            seed=seed,
-            server=n,
+class _Deployment:
+    """One run's servers and requests; outcomes are logged to ``log_fh``."""
+
+    def __init__(self, cfg: ExperimentConfig, log_fh):
+        self.segment_len = cfg.min_agent_batch
+        stores = [
+            VectorStore(
+                dim=cfg.dim,
+                nlist=cfg.nlist,
+                min_candidates=cfg.min_candidates,
+                rebuild_every=cfg.rebuild_every,
+                seed=cfg.seed,
+                server=n,
+            )
+            for n in range(cfg.servers)
+        ]
+        self.env = EdgeEnv(
+            stores,
+            delay_model=cfg.delay_model(),
+            answer_model=cfg.answer_model(),
+            quality_weight=cfg.quality_weight,
+            delay_weight=cfg.delay_weight,
+            reward_scale=cfg.reward_scale,
+            filter_value_weight=cfg.filter_value_weight,
+            filter_freq_weight=cfg.filter_freq_weight,
+            query_width=cfg.query_width,
+            tau_serve=cfg.tau_serve,
+            evict_period=cfg.evict_period,
+            seed=cfg.seed,
         )
-        for n in range(cfg.servers)
-    ]
-    return EdgeEnv(
-        stores,
-        delay_model=cfg.delay_model(),
-        answer_model=cfg.answer_model(),
-        quality_weight=cfg.quality_weight,
-        delay_weight=cfg.delay_weight,
-        reward_scale=cfg.reward_scale,
-        filter_value_weight=cfg.filter_value_weight,
-        filter_freq_weight=cfg.filter_freq_weight,
-        query_width=cfg.query_width,
-        tau_serve=cfg.tau_serve,
-        evict_period=cfg.evict_period,
-        seed=seed,
-    )
+        self.source = _SlotSource(cfg)
+        self.log_fh = log_fh
 
+    def observe(self, group) -> tuple:
+        """Correlation sets, feature matrix, and question matrix for a group
+        of (server, request) pairs."""
+        corrsets = [self.env.correlations(n, r.question_vec) for n, r in group]
+        width = self.env.query_width
+        feats = np.stack([correlation_features(c.matrix(width)) for c in corrsets])
+        questions = np.stack([req.question_vec for _, req in group])
+        return corrsets, feats, questions
 
-def _observe_slot(env: EdgeEnv, reqs) -> tuple:
-    """Correlation sets, feature matrix, and question matrix for one slot."""
-    corrsets = [
-        env.correlations(n, reqs[n].question_vec) for n in range(env.num_servers)
-    ]
-    feats = np.stack(
-        [correlation_features(c.matrix(env.query_width)) for c in corrsets]
-    )
-    questions = np.stack([r.question_vec for r in reqs])
-    return corrsets, feats, questions
+    def play(
+        self,
+        slots: range,
+        mode: str,
+        actor: BasePolicy | RolloutDriver,
+        buffer: ExperienceBuffer | None,
+        acc: WindowAccumulator | None,
+    ) -> None:
+        """The slot loop of every phase: demos, training and testing.
+
+        Requests form decision groups of (server, request) pairs: per slot
+        one group at the origin servers, or in ``broadcast`` mode one group
+        per request covering every server.  Each group is observed, decided
+        by ``actor`` (a policy, or a :class:`RolloutDriver` that also
+        trains), then stepped; served requests go to ``acc`` and, with
+        ``buffer``, each slot is recorded for training.
+        """
+        env = self.env
+        learned = isinstance(actor, RolloutDriver)
+        for slot in slots:
+            reqs = self.source.next_slot()
+            env.begin_slot(slot)
+            groups = [list(enumerate(reqs))]
+            if mode == "broadcast":
+                groups = [[(n, req) for n in range(env.num_servers)] for req in reqs]
+            for group in groups:
+                corrsets, feats, questions = self.observe(group)
+                if learned:
+                    actor.begin_slot(feats, questions)
+                    keys = [req.id for _, req in group]
+                    actions, probs, _ = actor.choose(feats, questions, keys)
+                    choices = [ActionChoice(int(a)) for a in actions]
+                else:
+                    if buffer is not None and buffer.pending_steps >= self.segment_len:
+                        buffer.hand_off(feats, questions)
+                    choices, probs = [], []
+                    for (n, req), corr, corr_features in zip(group, corrsets, feats):
+                        ctx = DecisionContext(
+                            corr=corr,
+                            corr_features=corr_features,
+                            question_vec=req.question_vec,
+                            server=n,
+                            slot=slot,
+                            rng=substream(env.seed, DOMAIN_POLICY, req.id, n),
+                        )
+                        choice, prob = actor.decide(ctx)
+                        choices.append(choice)
+                        probs.append(prob)
+                if mode == "broadcast":
+                    served = [env.broadcast_step(group[0][1], choices, corrsets, probs)]
+                    outcomes = env.last_broadcast
+                else:
+                    outcomes = served = [
+                        env.step(req, choices[i], corrsets[i], float(probs[i]))
+                        for i, (_, req) in enumerate(group)
+                    ]
+                for t in outcomes:
+                    if not learned:
+                        actor.observe(t)
+                    if self.log_fh is not None:
+                        self.log_fh.write(json.dumps(dataclasses.asdict(t)) + "\n")
+                if acc is not None:
+                    for t in served:
+                        acc.add(t)
+                if buffer is not None:
+                    taken = [c.a for c in choices]
+                    rewards = [t.r for t in outcomes]
+                    buffer.record_slot(feats, questions, taken, probs, rewards)
 
 
 def build_expert_demos(cfg: ExperimentConfig) -> DemoSet:
@@ -466,52 +524,15 @@ def build_expert_demos(cfg: ExperimentConfig) -> DemoSet:
     expert is deterministic.
     """
     demo_seed = int(substream(cfg.seed, DOMAIN_DEMO).integers(2**31))
-    env = _build_env(cfg, demo_seed)
-    source = _SlotSource(dataclasses.replace(cfg, workload_file=None, seed=demo_seed))
-    expert = PayoffGreedyPolicy(
-        num_servers=cfg.servers,
-        delay_model=cfg.delay_model(),
-        answer_model=cfg.answer_model(),
-        quality_weight=cfg.quality_weight,
-        delay_weight=cfg.delay_weight,
-        reward_scale=cfg.reward_scale,
-    )
+    demo_cfg = dataclasses.replace(cfg, workload_file=None, seed=demo_seed)
+    deployment = _Deployment(demo_cfg, log_fh=None)
+    expert = _make_heuristic(dataclasses.replace(cfg, policy="greedy-llm"))
     buffer = ExperienceBuffer(cfg.servers)
-    segment_len = cfg.min_agent_batch
-    for slot in range(cfg.demo_slots):
-        reqs = source.next_slot()
-        env.begin_slot(slot)
-        corrsets, feats, questions = _observe_slot(env, reqs)
-        if buffer.pending_steps >= segment_len:
-            buffer.hand_off(feats, questions)
-        actions = []
-        for n in range(cfg.servers):
-            ctx = DecisionContext(
-                corr=corrsets[n],
-                corr_features=feats[n],
-                question_vec=reqs[n].question_vec,
-                server=n,
-                slot=slot,
-                rng=substream(demo_seed, DOMAIN_POLICY, reqs[n].id, n),
-            )
-            choice, _ = expert.decide(ctx)
-            actions.append(choice)
-        rewards = np.zeros(cfg.servers)
-        for n in range(cfg.servers):
-            t = env.step(reqs[n], actions[n], corrsets[n], 1.0)
-            rewards[n] = t.r
-            expert.observe(t)
-        buffer.record_slot(
-            feats,
-            questions,
-            np.array([c.a for c in actions]),
-            np.ones(cfg.servers),
-            rewards,
-        )
+    deployment.play(range(cfg.demo_slots), "nearest", expert, buffer, None)
     # Bootstrap observation for the final partial segment.
-    reqs = source.next_slot()
-    env.begin_slot(cfg.demo_slots)
-    _, feats, questions = _observe_slot(env, reqs)
+    reqs = deployment.source.next_slot()
+    deployment.env.begin_slot(cfg.demo_slots)
+    _, feats, questions = deployment.observe(list(enumerate(reqs)))
     buffer.hand_off(feats, questions)
     return DemoSet(buffer.segments)
 
@@ -521,140 +542,56 @@ def build_expert_demos(cfg: ExperimentConfig) -> DemoSet:
 
 
 def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
-    """Execute one full seeded experiment and return its report."""
+    """Execute one full seeded experiment and return its report.
+
+    ``cfg.transitions_out`` is opened before the first slot and receives one
+    row per outcome as it completes (N rows per broadcast request).
+    """
     cfg.validate()
-    kind, _ = policy_kind(cfg.policy)
-    env = _build_env(cfg, cfg.seed)
-    source = _SlotSource(cfg)
-
-    driver = None
-    heuristic = None
-    if kind == "learned":
-        spec = ablation_spec(cfg.policy)
-        demos = build_expert_demos(cfg) if spec.use_demos else None
-        trainer = Trainer(
-            n_agents=cfg.servers,
-            corr_dim=3 * cfg.query_width,
-            question_dim=cfg.dim,
-            cfg=cfg.trainer_config(),
-            encoder_cfg=cfg.encoder_config() if spec.use_encoder else None,
-            demos=demos,
-            seed=cfg.seed,
-        )
-        driver = RolloutDriver(trainer)
-    else:
-        heuristic = _make_heuristic(cfg)
-
-    acc_train = WindowAccumulator("train", cfg.window_size, cfg.servers)
-
-    # -- training phase: origin-server routing, learned policies update ----
-    for slot in range(cfg.train_slots):
-        reqs = source.next_slot()
-        env.begin_slot(slot)
-        corrsets, feats, questions = _observe_slot(env, reqs)
-        if driver is not None:
-            driver.begin_slot(feats, questions)
-            keys = [r.id for r in reqs]
-            actions_arr, probs_arr, _ = driver.choose(feats, questions, keys)
-            choices = [ActionChoice(int(a)) for a in actions_arr]
-        else:
-            choices, probs_arr = [], np.ones(cfg.servers)
-            for n in range(cfg.servers):
-                ctx = DecisionContext(
-                    corr=corrsets[n],
-                    corr_features=feats[n],
-                    question_vec=reqs[n].question_vec,
-                    server=n,
-                    slot=slot,
-                    rng=substream(cfg.seed, DOMAIN_POLICY, reqs[n].id, n),
-                )
-                choice, prob = heuristic.decide(ctx)
-                choices.append(choice)
-                probs_arr[n] = prob
-        rewards = np.zeros(cfg.servers)
-        for n in range(cfg.servers):
-            t = env.step(reqs[n], choices[n], corrsets[n], float(probs_arr[n]))
-            rewards[n] = t.r
-            acc_train.add(t)
-            if heuristic is not None:
-                heuristic.observe(t)
-        if driver is not None:
-            driver.record(
-                feats,
-                questions,
-                np.array([c.a for c in choices]),
-                probs_arr,
-                rewards,
+    log_fh = open(cfg.transitions_out, "w") if cfg.transitions_out else None
+    with log_fh or contextlib.nullcontext():
+        kind, _ = policy_kind(cfg.policy)
+        deployment = _Deployment(cfg, log_fh)
+        buffer = None
+        if kind == "learned":
+            spec = ablation_spec(cfg.policy)
+            demos = build_expert_demos(cfg) if spec.use_demos else None
+            trainer = Trainer(
+                n_agents=cfg.servers,
+                corr_dim=3 * cfg.query_width,
+                question_dim=cfg.dim,
+                cfg=cfg.trainer_config(),
+                encoder_cfg=cfg.encoder_config() if spec.use_encoder else None,
+                demos=demos,
+                seed=cfg.seed,
             )
-    acc_train.flush()
+            actor: BasePolicy | RolloutDriver = RolloutDriver(trainer)
+            buffer = trainer.buffer
+        else:
+            actor = _make_heuristic(cfg)
 
-    # -- frozen test phase -------------------------------------------------
-    if driver is not None:
-        test_policy: BasePolicy = LearnedPolicy(
-            driver.trainer.snapshot(), deterministic=True
+        # Training phase: origin-server routing, learned policies update.
+        acc_train = WindowAccumulator("train", cfg.window_size, cfg.servers)
+        deployment.play(range(cfg.train_slots), "nearest", actor, buffer, acc_train)
+        acc_train.flush()
+
+        # Frozen test phase.
+        if kind == "learned":
+            actor = LearnedPolicy(trainer.snapshot())
+        acc_test = WindowAccumulator("test", cfg.window_size, cfg.servers)
+        test_slots = range(cfg.train_slots, cfg.train_slots + cfg.test_slots)
+        deployment.play(test_slots, cfg.mode, actor, None, acc_test)
+        acc_test.flush()
+
+        return MetricsReport(
+            policy=cfg.policy,
+            mode=cfg.mode,
+            seed=cfg.seed,
+            config=cfg.flat_dict(),
+            windows=acc_train.windows + acc_test.windows,
+            train=acc_train.summary(),
+            test=acc_test.summary(),
         )
-    else:
-        test_policy = heuristic
-
-    acc_test = WindowAccumulator("test", cfg.window_size, cfg.servers)
-    for i in range(cfg.test_slots):
-        slot = cfg.train_slots + i
-        reqs = source.next_slot()
-        env.begin_slot(slot)
-        if cfg.mode == "nearest":
-            corrsets, feats, _ = _observe_slot(env, reqs)
-            for n in range(cfg.servers):
-                ctx = DecisionContext(
-                    corr=corrsets[n],
-                    corr_features=feats[n],
-                    question_vec=reqs[n].question_vec,
-                    server=n,
-                    slot=slot,
-                    rng=substream(cfg.seed, DOMAIN_POLICY, reqs[n].id, n),
-                )
-                choice, prob = test_policy.decide(ctx)
-                t = env.step(reqs[n], choice, corrsets[n], prob)
-                acc_test.add(t)
-                test_policy.observe(t)
-        else:  # broadcast: every server races on every request
-            for req in reqs:
-                corrsets = [
-                    env.correlations(n, req.question_vec)
-                    for n in range(cfg.servers)
-                ]
-                choices, probs = [], []
-                for n in range(cfg.servers):
-                    ctx = DecisionContext(
-                        corr=corrsets[n],
-                        corr_features=correlation_features(
-                            corrsets[n].matrix(cfg.query_width)
-                        ),
-                        question_vec=req.question_vec,
-                        server=n,
-                        slot=slot,
-                        rng=substream(cfg.seed, DOMAIN_POLICY, req.id, n),
-                    )
-                    choice, prob = test_policy.decide(ctx)
-                    choices.append(choice)
-                    probs.append(prob)
-                winner = env.broadcast_step(req, choices, corrsets, probs)
-                acc_test.add(winner)
-                for t in env.last_broadcast:
-                    test_policy.observe(t)
-    acc_test.flush()
-
-    if cfg.transitions_out:
-        write_transition_log(cfg.transitions_out, env.log)
-
-    return MetricsReport(
-        policy=cfg.policy,
-        mode=cfg.mode,
-        seed=cfg.seed,
-        config=cfg.flat_dict(),
-        windows=acc_train.windows + acc_test.windows,
-        train=acc_train.summary(),
-        test=acc_test.summary(),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -775,18 +712,11 @@ def cli_main(argv=None) -> int:
 
     if args.export_workload:
         try:
-            topics = generate_topics(cfg.topics, cfg.dim, cfg.seed)
-            gen = WorkloadGenerator(
-                topics,
-                cfg.servers,
-                cfg.users,
-                cfg.repeat_ratio,
-                cfg.paraphrase_sigma,
-                cfg.seed,
-            )
+            source = _SlotSource(dataclasses.replace(cfg, workload_file=None))
+            slots = cfg.train_slots + cfg.test_slots
             count = save_workload(
                 args.export_workload,
-                list(gen.stream(cfg.train_slots + cfg.test_slots)),
+                [req for _ in range(slots) for req in source.next_slot()],
             )
         except (ConfigError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -795,24 +725,26 @@ def cli_main(argv=None) -> int:
         return 0
 
     try:
+        if args.out:
+            # Fail before the run, not after it, on an unwritable report path.
+            open(args.out, "a").close()
         report = run_experiment(cfg)
+        for phase in (report.train, report.test):
+            print(
+                f"{phase.phase}: {phase.requests} requests, "
+                f"mean reward {phase.mean_reward:.4f}, "
+                f"mean delay {phase.mean_delay:.4f}s, "
+                f"direct-cloud share {phase.llm_direct_freq:.3f}"
+            )
+        if args.out:
+            emit_report(report, args.out)
+            print(f"report written to {args.out}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    for phase in (report.train, report.test):
-        print(
-            f"{phase.phase}: {phase.requests} requests, "
-            f"mean reward {phase.mean_reward:.4f}, "
-            f"mean delay {phase.mean_delay:.4f}s, "
-            f"direct-cloud share {phase.llm_direct_freq:.3f}"
-        )
-    if args.out:
-        emit_report(report, args.out)
-        print(f"report written to {args.out}")
     return 0
 
 

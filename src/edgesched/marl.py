@@ -94,8 +94,6 @@ class TrainerConfig:
     min_demo_quota: int = 16  # demos stop once the quota is not above this
     epochs: int = 4
     minibatch_size: int = 64
-    max_updates: int = 10**9
-    normalize_advantages: bool = True
     policy_hidden: tuple[int, ...] = (128, 128)
     value_hidden: tuple[int, ...] = (128, 128)
 
@@ -151,11 +149,6 @@ class ExperienceBuffer:
     def pending_steps(self) -> int:
         return len(self._pending)
 
-    def agent_counts(self) -> list[int]:
-        """Transitions per agent sitting in the finished-segment pool."""
-        total = sum(seg.steps for seg in self.segments)
-        return [total] * self.n_agents
-
     def record_slot(
         self,
         corr: np.ndarray,
@@ -201,9 +194,6 @@ class ExperienceBuffer:
         self._pending = []
         return seg
 
-    def drop_pending(self) -> None:
-        self._pending = []
-
     def clear_pool(self) -> None:
         self.segments = []
 
@@ -211,15 +201,13 @@ class ExperienceBuffer:
 class DemoSet:
     """A frozen pool of expert segments with a flat per-transition index."""
 
-    def __init__(self, segments: list[Segment], limit: int | None = None):
+    def __init__(self, segments: list[Segment]):
         self.segments = list(segments)
         self._flat: list[tuple[int, int, int]] = []
         for si, seg in enumerate(self.segments):
             for t in range(seg.steps):
                 for n in range(seg.n_agents):
                     self._flat.append((si, t, n))
-        if limit is not None:
-            self._flat = self._flat[:limit]
 
     def __len__(self) -> int:
         return len(self._flat)
@@ -415,7 +403,7 @@ class PolicySnapshot:
 
 @dataclass
 class UpdateResult:
-    status: str  # 'updated' | 'insufficient' | 'capped'
+    status: str  # 'updated' | 'insufficient'
     batch_size: int = 0
     demo_count: int = 0
     demo_quota: int = 0
@@ -538,15 +526,13 @@ class Trainer:
     def train_update(self) -> UpdateResult:
         """One PPO update over the pooled segments plus the demo quota.
 
-        Requires every agent's pooled transition count to be strictly above
-        ``min_agent_batch``; otherwise the pool is left to grow and the
-        result reports ``insufficient``.
+        Requires the pooled slot count to be strictly above
+        ``min_agent_batch`` (every segment covers all agents, so each agent
+        holds that many transitions); otherwise the pool is left to grow and
+        the result reports ``insufficient``.
         """
         cfg = self.cfg
-        if self.updates_done >= cfg.max_updates:
-            return UpdateResult(status="capped", version=self.policy_params.version)
-        counts = self.buffer.agent_counts()
-        if not self.buffer.segments or min(counts) <= cfg.min_agent_batch:
+        if sum(seg.steps for seg in self.buffer.segments) <= cfg.min_agent_batch:
             return UpdateResult(
                 status="insufficient", version=self.policy_params.version
             )
@@ -571,9 +557,8 @@ class Trainer:
                 demo_count = len(chosen)
 
         batch = PpoBatch.concat(parts)
-        if cfg.normalize_advantages:
-            adv = batch.advantages
-            batch.advantages = (adv - adv.mean()) / (adv.std() + 1e-8)
+        adv = batch.advantages
+        batch.advantages = (adv - adv.mean()) / (adv.std() + 1e-8)
 
         B = len(batch)
         stats: list[PpoLossResult] = []
@@ -617,30 +602,16 @@ class Trainer:
         return out
 
 
-@dataclass
-class AgentHandle:
-    """One agent's view of the shared policy: its index and held version."""
-
-    index: int
-    version: int
-
-
 class RolloutDriver:
     """Synchronous collection: act, record, and train at segment boundaries.
 
-    The driver enforces the centralized-training contract: every agent must
-    hold the current policy version when asked to act, and each successful
-    update refreshes all agents at once.
+    All agents act from one shared snapshot, refreshed after each successful
+    update.
     """
 
-    def __init__(self, trainer: Trainer, seed: int | None = None):
+    def __init__(self, trainer: Trainer):
         self.trainer = trainer
-        self.seed = trainer.seed if seed is None else seed
         self.snapshot = trainer.snapshot()
-        self.agents = [
-            AgentHandle(index=i, version=self.snapshot.version)
-            for i in range(trainer.n_agents)
-        ]
 
     def begin_slot(
         self, corr: np.ndarray, question: np.ndarray
@@ -653,41 +624,25 @@ class RolloutDriver:
             result = self.trainer.train_update()
             if result.status == "updated":
                 self.snapshot = self.trainer.snapshot()
-                for handle in self.agents:
-                    handle.version = self.snapshot.version
             return result
         return None
 
     def choose(
-        self,
-        corr: np.ndarray,
-        question: np.ndarray,
-        decision_keys,
-        sample: bool = True,
+        self, corr: np.ndarray, question: np.ndarray, decision_keys
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pick one action per agent; returns (actions, taken probs, dists).
+        """Sample one action per agent; returns (actions, taken probs, dists).
 
         ``decision_keys`` supplies one non-negative integer per agent keying
         that agent's decision stream (e.g. the request id), so identical
         observations draw identical exploration noise across runs.
         """
-        for handle in self.agents:
-            if handle.version != self.snapshot.version:
-                raise RuntimeError(
-                    f"agent {handle.index} holds policy version {handle.version}, "
-                    f"expected {self.snapshot.version}; agents must resync "
-                    "after every update"
-                )
         dists = self.snapshot.action_probs(corr, question)
-        actions = np.zeros(len(self.agents), dtype=int)
-        probs = np.zeros(len(self.agents))
-        for handle in self.agents:
-            n = handle.index
-            if sample:
-                rng = substream(self.seed, DOMAIN_POLICY, int(decision_keys[n]), n)
-                actions[n] = 0 if rng.random() < dists[n, 0] else 1
-            else:
-                actions[n] = int(np.argmax(dists[n]))
+        n_agents = self.trainer.n_agents
+        actions = np.zeros(n_agents, dtype=int)
+        probs = np.zeros(n_agents)
+        for n in range(n_agents):
+            rng = substream(self.trainer.seed, DOMAIN_POLICY, int(decision_keys[n]), n)
+            actions[n] = 0 if rng.random() < dists[n, 0] else 1
             probs[n] = dists[n, actions[n]]
         return actions, probs, dists
 

@@ -160,8 +160,6 @@ class Transition:
     r: float
     fallback: bool = False  # cache path requested but cache empty
     topic: int = -1
-    state: np.ndarray | None = None
-    next_state: np.ndarray | None = None
 
 
 class EdgeEnv:
@@ -188,7 +186,6 @@ class EdgeEnv:
         tau_serve: float = 0.15,
         evict_period: int = 500,
         seed: int = 0,
-        keep_log: bool = True,
     ):
         if not stores:
             raise ConfigError("need at least one store")
@@ -212,8 +209,6 @@ class EdgeEnv:
         self.tau_serve = tau_serve
         self.evict_period = evict_period
         self.seed = seed
-        self.keep_log = keep_log
-        self.log: list[Transition] = []
         self.last_broadcast: list[Transition] = []
         self.fallback_count = 0
         self.action_counts = {"A": 0, "B": 0, "C": 0}
@@ -369,8 +364,6 @@ class EdgeEnv:
         if fallback:
             self.fallback_count += 1
         self.action_counts[resolved] += 1
-        if self.keep_log:
-            self.log.append(transition)
         return transition
 
     def broadcast_step(

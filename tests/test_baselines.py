@@ -221,19 +221,6 @@ class TestLearnedPolicy:
         assert choice.a == 0
         assert prob == pytest.approx(0.5)
 
-    def test_sampling_mode_follows_the_context_stream(self):
-        snap = self.make_snapshot()
-        pol = LearnedPolicy(snap, deterministic=False)
-        for seed in range(20):
-            ctx = make_ctx(corr_of(0.1), seed=seed)
-            dist = snap.action_probs(
-                ctx.corr_features[None, :], ctx.question_vec[None, :]
-            )[0]
-            expected = 0 if np.random.default_rng(seed).random() < dist[0] else 1
-            choice, prob = pol.decide(ctx)
-            assert choice.a == expected
-            assert prob == pytest.approx(dist[expected])
-
 
 class TestAblations:
     def test_four_variants(self):

@@ -1,0 +1,33 @@
+"""Byte-for-byte comparison of fresh runs against the committed goldens.
+
+``tests/golden/`` holds the CSV report and the transition log of every run
+in ``make_goldens.RUNS``: the seven policies in nearest and broadcast mode at
+the determinism config, and one mid-size heuristic broadcast run.  A
+refactor must leave every file byte-identical.
+
+The goldens depend on numpy's and the BLAS library's floating-point
+arithmetic.  When the machine, numpy or BLAS changes, regenerate them with
+``PYTHONPATH=src python tests/golden/make_goldens.py`` at a commit whose
+results are trusted, and record the regeneration in CHANGES.md.  Never
+loosen the comparison.  A deliberate behaviour change regenerates them in the
+same change that makes it.
+"""
+
+import pytest
+
+from golden.make_goldens import GOLDEN_DIR, RUNS, write_run
+
+
+def test_every_golden_file_belongs_to_a_run():
+    expected = {f"{name}.csv" for name in RUNS}
+    expected |= {f"{name}.transitions.jsonl" for name in RUNS}
+    on_disk = {p.name for p in GOLDEN_DIR.iterdir() if p.suffix in (".csv", ".jsonl")}
+    assert on_disk == expected
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_matches_golden(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for file_name in write_run(name):
+        fresh = (tmp_path / file_name).read_bytes()
+        assert fresh == (GOLDEN_DIR / file_name).read_bytes(), file_name

@@ -4,15 +4,20 @@ import dataclasses
 import io
 import json
 import os
+import re
 import shutil
+import string
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import edgesched
+from edgesched import harness
 from edgesched.config import ExperimentConfig, load_config, policy_kind
 from edgesched.errors import ConfigError, ParseError
 from edgesched.harness import (
@@ -224,6 +229,57 @@ use_positional = no
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.ini")
+
+    @given(st.data())
+    def test_flat_dict_round_trips_through_ini(self, data):
+        cfg = data.draw(configs())
+        sections: dict[str, list[str]] = {}
+        for key, value in cfg.flat_dict().items():
+            section, name = key.split(".")
+            sections.setdefault(section, []).append(f"{name} = {value}\n")
+        text = "".join(f"[{s}]\n" + "".join(lines) for s, lines in sections.items())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "exp.ini"
+            path.write_text(text)
+            assert load_config(path) == cfg
+
+
+# Printable ASCII without whitespace other than the space.
+_INI_CHARS = string.ascii_letters + string.digits + string.punctuation + " "
+
+
+def _ini_value(text: str) -> bool:
+    """True for strings an INI value keeps verbatim: no surrounding
+    whitespace (stripped) and no "#" or ";" at the start or after
+    whitespace (an inline comment)."""
+    return text == text.strip() and not re.search(r"(^|\s)[#;]", text)
+
+
+_STRINGS = st.text(_INI_CHARS, max_size=12).filter(_ini_value)
+_PATHS = st.builds(
+    lambda head, tail: f"{head}%{tail}",
+    st.text(_INI_CHARS, max_size=8),
+    st.text(_INI_CHARS, max_size=8),
+).filter(_ini_value)
+
+
+@st.composite
+def configs(draw) -> ExperimentConfig:
+    """Any ExperimentConfig whose fields have the declared types; paths
+    always contain a "%"."""
+    values = {}
+    for field in dataclasses.fields(ExperimentConfig):
+        if field.name in ("workload_file", "transitions_out"):
+            values[field.name] = draw(st.none() | _PATHS)
+        elif field.type == "int":
+            values[field.name] = draw(st.integers(-10**9, 10**9))
+        elif field.type == "float":
+            values[field.name] = draw(st.floats(allow_nan=False))
+        elif field.type == "bool":
+            values[field.name] = draw(st.booleans())
+        else:
+            values[field.name] = draw(_STRINGS)
+    return ExperimentConfig(**values)
 
 
 class TestWindowAccumulator:
@@ -687,6 +743,32 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["--config", str(p), "--mode", "multicast"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("path_kind", ["out", "transitions_out"])
+    def test_unwritable_output_fails_before_the_run(
+        self, tmp_path, capsys, monkeypatch, path_kind
+    ):
+        def slot_loop(*args, **kwargs):
+            raise AssertionError("slot loop entered before the output checks")
+
+        monkeypatch.setattr(harness._Deployment, "play", slot_loop)
+        missing = tmp_path / "no" / "such" / "dir"
+        text, argv = CLI_INI, []
+        if path_kind == "out":
+            argv = ["--out", str(missing / "report.csv")]
+        else:
+            text = CLI_INI.replace(
+                "dim = 16", f"dim = 16\ntransitions_out = {missing / 'log.jsonl'}"
+            )
+        p = self.write_cfg(tmp_path, text)
+        assert cli_main(["--config", str(p), *argv]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_percent_in_config_value(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        text = CLI_INI.replace("dim = 16", "dim = 16\ntransitions_out = run_100%.jsonl")
+        assert cli_main(["--config", str(self.write_cfg(tmp_path, text))]) == 0
+        assert len((tmp_path / "run_100%.jsonl").read_text().splitlines()) == 24
 
     def test_full_run_writes_report(self, tmp_path, capsys):
         p = self.write_cfg(tmp_path)

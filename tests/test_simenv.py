@@ -221,12 +221,6 @@ class TestRouting:
         env.step(make_request(2, sphere_point(0.3), E[2], slot=1), CACHE)
         assert env.action_counts == {"A": 1, "B": 1, "C": 1}
 
-    def test_keep_log_flag(self):
-        env = make_env(keep_log=False)
-        env.step(make_request(0, E[0], E[2]), CLOUD)
-        assert env.log == []
-        assert env.action_counts["B"] == 1
-
 
 class TestEviction:
     def seeded_env(self, evict_period):
