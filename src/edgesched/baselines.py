@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -28,7 +29,9 @@ class DecisionContext:
     question_vec: np.ndarray
     server: int
     slot: int
-    rng: np.random.Generator  # per-decision stream, keyed by (request, server)
+    # Builds the per-decision stream, keyed by (request, server); only
+    # policies that draw call it.
+    make_rng: Callable[[], np.random.Generator]
 
 
 class BasePolicy:
@@ -95,10 +98,10 @@ class PayoffGreedyPolicy(BasePolicy):
             reward_scale,
         )
         self._windows = [deque(maxlen=window) for _ in range(num_servers)]
+        self._estimates = [self.initial_estimate] * num_servers
 
     def cloud_estimate(self, server: int) -> float:
-        window = self._windows[server]
-        return float(np.mean(window)) if window else self.initial_estimate
+        return self._estimates[server]
 
     def decide(self, ctx: DecisionContext) -> tuple[ActionChoice, float]:
         best = ctx.corr.best()
@@ -119,14 +122,16 @@ class PayoffGreedyPolicy(BasePolicy):
 
     def observe(self, transition) -> None:
         if transition.resolved == "B":
-            self._windows[transition.server].append(transition.r)
+            window = self._windows[transition.server]
+            window.append(transition.r)
+            self._estimates[transition.server] = float(np.mean(window))
 
 
 class RandomPolicy(BasePolicy):
     """Uniform coin flip between the cache path and the direct cloud call."""
 
     def decide(self, ctx: DecisionContext) -> tuple[ActionChoice, float]:
-        a = 0 if ctx.rng.random() < 0.5 else 1
+        a = 0 if ctx.make_rng().random() < 0.5 else 1
         return ActionChoice(a), 0.5
 
 

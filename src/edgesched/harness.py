@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import logging
 import sys
@@ -184,7 +185,12 @@ _WINDOW_FIELDS = (
 
 
 def _summaries_from_windows(windows: list[MetricsWindow]) -> dict[str, PhaseSummary]:
-    """Exact phase totals rebuilt from count-weighted window means."""
+    """Phase summaries rebuilt from count-weighted window means.
+
+    They agree with the summaries :func:`run_experiment` takes from running
+    totals to rounding (a few ulps), not bit for bit: the sums are taken in
+    another order.
+    """
     out = {}
     for phase in ("train", "test"):
         ws = [w for w in windows if w.phase == phase]
@@ -240,7 +246,12 @@ def _infer_format(path) -> str:
 
 
 def load_report(path, fmt: str | None = None) -> MetricsReport:
-    """Read a report back; float fields round-trip exactly."""
+    """Read a report back.
+
+    Window fields round-trip exactly.  The phase summaries are rebuilt from
+    the windows (see :func:`_summaries_from_windows`), so they can differ
+    from the written run's in the last bits.
+    """
     fmt = fmt or _infer_format(path)
     windows: list[MetricsWindow] = []
     if fmt == "jsonl":
@@ -355,6 +366,12 @@ class _SlotSource:
                     raise ConfigError(
                         f"{cfg.workload_file}: slot {group[0].slot} has "
                         f"{len(group)} requests, expected {cfg.servers}"
+                    )
+                servers = sorted(r.server for r in group)
+                if servers != list(range(cfg.servers)):
+                    raise ConfigError(
+                        f"{cfg.workload_file}: slot {group[0].slot} has requests "
+                        f"for servers {servers}, expected one per server"
                     )
             needed = cfg.train_slots + cfg.test_slots
             if len(self._slots) < needed:
@@ -488,7 +505,9 @@ class _Deployment:
                             question_vec=req.question_vec,
                             server=n,
                             slot=slot,
-                            rng=substream(env.seed, DOMAIN_POLICY, req.id, n),
+                            make_rng=functools.partial(
+                                substream, env.seed, DOMAIN_POLICY, req.id, n
+                            ),
                         )
                         choice, prob = actor.decide(ctx)
                         choices.append(choice)

@@ -262,7 +262,7 @@ class EdgeEnv:
         """
         if action.a == DIRECT_CLOUD:
             return "B", None, None, False
-        if not corr.entries:
+        if not len(corr):
             log.debug(
                 "slot %d server %d: cache path requested on empty correlations; "
                 "falling back to direct cloud",
@@ -309,27 +309,27 @@ class EdgeEnv:
         resolved, entry, answer_rec, fallback = self._resolve(
             store, request, action, corr
         )
-        answer_rng = substream(self.seed, DOMAIN_ANSWER, request.id, n)
         delay_rng = substream(self.seed, DOMAIN_DELAY, request.id, n)
-        dim = store.dim
         if resolved == "A":
             answer_vec = answer_rec.vec.copy()
             d = self.delay_model.sample_edge(delay_rng)
-        elif resolved == "B":
-            sigma = self.answer_model.sigma_llm
-            answer_vec = request.reference_vec + sigma * random_unit(answer_rng, dim)
-            d = self.delay_model.sample_cloud(delay_rng)
-        else:  # 'C': retrieval plus an enhanced cloud call, delays add up
-            relevant = entry.distance < self.answer_model.relevance_radius
-            sigma = (
-                self.answer_model.sigma_enhance
-                if relevant
-                else self.answer_model.sigma_llm + self.answer_model.sigma_mislead
-            )
-            answer_vec = request.reference_vec + sigma * random_unit(answer_rng, dim)
-            d = self.delay_model.sample_edge(delay_rng) + self.delay_model.sample_cloud(
-                delay_rng
-            )
+        else:
+            # Only cloud answers draw noise, so only they build the answer stream.
+            if resolved == "B":
+                sigma = self.answer_model.sigma_llm
+                d = self.delay_model.sample_cloud(delay_rng)
+            else:  # 'C': retrieval plus an enhanced cloud call, delays add up
+                relevant = entry.distance < self.answer_model.relevance_radius
+                sigma = (
+                    self.answer_model.sigma_enhance
+                    if relevant
+                    else self.answer_model.sigma_llm + self.answer_model.sigma_mislead
+                )
+                d = self.delay_model.sample_edge(delay_rng)
+                d += self.delay_model.sample_cloud(delay_rng)
+            answer_rng = substream(self.seed, DOMAIN_ANSWER, request.id, n)
+            noise = sigma * random_unit(answer_rng, store.dim)
+            answer_vec = request.reference_vec + noise
         q = satisfaction(answer_vec, request.reference_vec)
         r = reward(
             q, d, self.quality_weight, self.delay_weight, self.reward_scale

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,7 +49,11 @@ def clamp_negative(x: float, floor: float = -1e-6) -> float:
 
 @dataclass(eq=False)
 class VectorRecord:
-    """A stored vector plus its bookkeeping fields."""
+    """A stored vector plus its bookkeeping fields.
+
+    Stores keep their records as rows of parallel arrays and hand out
+    ``VectorRecord`` copies of those rows; a record names its row by ``rid``.
+    """
 
     rid: int
     vec: np.ndarray
@@ -58,6 +62,9 @@ class VectorRecord:
     cache_value: float  # strictly negative
     inserted_at: int
     pair_id: int  # links the question/answer halves of one exchange
+
+
+_KINDS = (None, RecordKind.QUESTION, RecordKind.ANSWER)  # indexed by kind code
 
 
 @dataclass(frozen=True)
@@ -74,23 +81,65 @@ class CorrelationEntry:
 
 
 class CorrelationSet:
-    """Search results for one query, ordered by ascending distance."""
+    """Search results for one query, ordered by ascending distance.
+
+    ``columns`` is a (3, len) array of similarity, kind code and use count
+    per entry.  A set built from entries computes it from them; a store's
+    query result holds its hits' fields as arrays and makes each entry
+    only when it is first read.
+    """
 
     def __init__(self, entries: Sequence[CorrelationEntry]):
-        self.entries = list(entries)
+        self._entries = list(entries)
+        self.columns = np.array(
+            [
+                (e.similarity, float(e.record.kind), float(e.record.freq))
+                for e in self._entries
+            ],
+            dtype=float,
+        ).reshape(-1, 3).T
+
+    @classmethod
+    def _of_hits(cls, hits: tuple, columns: np.ndarray) -> CorrelationSet:
+        """A set over ``hits``: per-hit arrays of rid, vector, kind code,
+        freq, cache value, insert slot, pair id and distance."""
+        out = cls.__new__(cls)
+        out._entries = [None] * columns.shape[1]
+        out._hits = hits
+        out.columns = columns
+        return out
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._entries)
 
     def __iter__(self):
         return iter(self.entries)
 
-    def __getitem__(self, i) -> CorrelationEntry:
-        return self.entries[i]
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        entry = self._entries[i]
+        if entry is None:
+            rid, vec, kind, freq, value, slot, pair, dist = self._hits
+            record = VectorRecord(
+                int(rid[i]),
+                vec[i],
+                _KINDS[kind[i]],
+                int(freq[i]),
+                float(value[i]),
+                int(slot[i]),
+                int(pair[i]),
+            )
+            entry = self._entries[i] = CorrelationEntry(record, float(dist[i]))
+        return entry
+
+    @property
+    def entries(self) -> list[CorrelationEntry]:
+        return [self[i] for i in range(len(self))]
 
     def best(self) -> CorrelationEntry | None:
         """Nearest entry, or None when empty."""
-        return self.entries[0] if self.entries else None
+        return self[0] if self._entries else None
 
     def matrix(self, width: int) -> np.ndarray:
         """A (3, width) summary: similarity, kind code, and use count per hit.
@@ -99,10 +148,8 @@ class CorrelationSet:
         record can produce (similarity > 0, kind >= 1).
         """
         out = np.zeros((3, width))
-        for j, entry in enumerate(self.entries[:width]):
-            out[0, j] = entry.similarity
-            out[1, j] = float(entry.record.kind)
-            out[2, j] = float(entry.record.freq)
+        k = min(width, len(self._entries))
+        out[:, :k] = self.columns[:, :k]
         return out
 
 
@@ -115,22 +162,45 @@ def filter_best(
     argmax keeps the first maximum).  Raises :class:`EmptyCorrelationError`
     on an empty set.
     """
-    if not correlations.entries:
+    if not len(correlations):
         raise EmptyCorrelationError("cannot filter an empty correlation set")
-    scores = np.array(
-        [
-            value_weight * e.similarity + freq_weight * e.record.freq
-            for e in correlations.entries
-        ]
-    )
-    return correlations.entries[int(np.argmax(scores))]
+    columns = correlations.columns
+    scores = value_weight * columns[0] + freq_weight * columns[2]
+    return correlations[int(scores.argmax())]
 
 
-def _nearest_centroid(centroids: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Index of the closest centroid for each row of ``vecs``."""
+def _nearest_centroid(
+    centroids: np.ndarray, vecs: np.ndarray, sq_norms: np.ndarray | None = None
+) -> np.ndarray:
+    """Index of the closest centroid for each row of ``vecs``.
+
+    ``sq_norms`` are the centroids' squared norms, computed here if omitted.
+    """
+    if sq_norms is None:
+        sq_norms = (centroids * centroids).sum(axis=1)
     # ||v - c||^2 = ||v||^2 - 2 v.c + ||c||^2; the ||v||^2 term is constant per row.
-    d2 = (centroids * centroids).sum(axis=1)[None, :] - 2.0 * vecs @ centroids.T
+    d2 = sq_norms[None, :] - 2.0 * vecs @ centroids.T
     return np.argmin(d2, axis=1)
+
+
+def _cluster_means(
+    vecs: np.ndarray, assign: np.ndarray, centroids: np.ndarray
+) -> np.ndarray:
+    """Each cluster's member mean; empty clusters keep their centroid.
+
+    One weighted bincount over (cluster, column) cells adds every cell's
+    members in row order, as ``vecs[assign == j].mean(axis=0)`` does for
+    two or more columns, so the two agree bit for bit there.  (numpy sums a
+    single column pairwise, which can differ in the last bits.)
+    """
+    k, dim = centroids.shape
+    counts = np.bincount(assign, minlength=k)
+    cells = (assign[:, None] * dim + np.arange(dim)).ravel()
+    sums = np.bincount(cells, weights=vecs.ravel(), minlength=k * dim)
+    filled = counts > 0
+    out = centroids.copy()
+    out[filled] = sums.reshape(k, dim)[filled] / counts[filled, None]
+    return out
 
 
 def _lloyd_kmeans(
@@ -148,11 +218,7 @@ def _lloyd_kmeans(
     centroids = vecs[start].copy()
     assign = _nearest_centroid(centroids, vecs)
     for _ in range(iters):
-        new_centroids = centroids.copy()
-        for j in range(k):
-            members = vecs[assign == j]
-            if members.shape[0]:
-                new_centroids[j] = members.mean(axis=0)
+        new_centroids = _cluster_means(vecs, assign, centroids)
         new_assign = _nearest_centroid(new_centroids, vecs)
         moved = not np.array_equal(new_assign, assign)
         centroids, assign = new_centroids, new_assign
@@ -161,21 +227,22 @@ def _lloyd_kmeans(
     return centroids, assign
 
 
-@dataclass
 class IvfIndex:
-    """Inverted-list index state: coarse centroids and per-list record ids."""
+    """Inverted-list index state: coarse centroids and per-list store rows."""
 
-    centroids: np.ndarray  # (nlist, dim)
-    lists: list[list[int]]  # record ids per inverted list
+    def __init__(self, centroids: np.ndarray, lists: list[list[int]]):
+        self.centroids = centroids  # (nlist, dim)
+        self.lists = lists  # store rows per inverted list
+        self.sq_norms = (centroids * centroids).sum(axis=1)
 
     @property
     def nlist(self) -> int:
         return self.centroids.shape[0]
 
-    def add(self, rid: int, vec: np.ndarray) -> None:
-        """Assign one new record to its nearest list."""
-        li = int(_nearest_centroid(self.centroids, vec[None, :])[0])
-        self.lists[li].append(rid)
+    def add(self, row: int, vec: np.ndarray) -> None:
+        """Assign one new row to its nearest list."""
+        li = int(_nearest_centroid(self.centroids, vec[None, :], self.sq_norms)[0])
+        self.lists[li].append(row)
 
     def probe_order(self, query: np.ndarray) -> np.ndarray:
         """List indices sorted by ascending centroid distance to ``query``."""
@@ -183,8 +250,28 @@ class IvfIndex:
         return np.argsort(d2, kind="stable")
 
 
+# VectorStore's per-row arrays besides the vector matrix, with their dtypes.
+_FIELDS = {
+    "_rid": np.int64,
+    "_kind": np.int64,  # RecordKind code
+    "_freq": np.int64,
+    "_value": np.float64,  # cache value
+    "_slot": np.int64,  # inserted_at
+    "_pair": np.int64,
+}
+
+
 class VectorStore:
-    """One server's record store with IVF search and cache-value upkeep."""
+    """One server's record store with IVF search and cache-value upkeep.
+
+    Records are rows of parallel arrays: a ``(capacity, dim)`` vector matrix
+    that doubles when full, plus one array per bookkeeping field.  The first
+    ``len(store)`` rows are live and sorted by rid: inserts append, and an
+    eviction sweep compacts the survivors in place.  Inverted lists hold row
+    numbers, which stay valid until the next sweep rebuilds the index.  Each
+    insert takes the next rid and the next pair id, so the rows are sorted
+    by pair id too.
+    """
 
     def __init__(
         self,
@@ -209,8 +296,10 @@ class VectorStore:
         self.rebuild_every = rebuild_every
         self.seed = seed
         self.server = server
-        self._records: dict[int, VectorRecord] = {}
-        self._pairs: dict[int, dict[RecordKind, int]] = {}
+        self._n = 0
+        self._vecs = np.empty((16, dim))
+        for name, dtype in _FIELDS.items():
+            setattr(self, name, np.empty(16, dtype=dtype))
         self._next_rid = 0
         self._next_pair = 0
         self._index: IvfIndex | None = None
@@ -219,23 +308,61 @@ class VectorStore:
         self.eviction_log: list[tuple[int, int]] = []  # (slot, dropped)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._n
 
     def __contains__(self, rid: int) -> bool:
-        return rid in self._records
+        return self._row_of(rid) is not None
 
     @property
     def index_builds(self) -> int:
         """How many times the coarse quantizer has been retrained."""
         return self._builds
 
-    def record(self, rid: int) -> VectorRecord:
-        return self._records[rid]
+    def _row_of(self, rid: int) -> int | None:
+        row = int(self._rid[: self._n].searchsorted(rid))
+        return row if row < self._n and self._rid[row] == rid else None
 
-    def records(self) -> Iterable[VectorRecord]:
-        return self._records.values()
+    def _record(self, row: int) -> VectorRecord:
+        return VectorRecord(
+            rid=int(self._rid[row]),
+            vec=self._vecs[row].copy(),
+            kind=_KINDS[self._kind[row]],
+            freq=int(self._freq[row]),
+            cache_value=float(self._value[row]),
+            inserted_at=int(self._slot[row]),
+            pair_id=int(self._pair[row]),
+        )
+
+    def record(self, rid: int) -> VectorRecord:
+        row = self._row_of(rid)
+        if row is None:
+            raise KeyError(rid)
+        return self._record(row)
+
+    def records(self) -> list[VectorRecord]:
+        """Every live record, in rid order."""
+        return [self._record(row) for row in range(self._n)]
 
     # -- insertion ---------------------------------------------------------
+
+    def _append(self, rid, vec, kind, freq, value, slot, pair) -> int:
+        """Write one record into the next free row; returns the row."""
+        row = self._n
+        if row == self._rid.shape[0]:
+            for name in ("_vecs", *_FIELDS):
+                old = getattr(self, name)
+                new = np.empty((2 * row,) + old.shape[1:], dtype=old.dtype)
+                new[:row] = old
+                setattr(self, name, new)
+        self._vecs[row] = vec
+        self._rid[row] = rid
+        self._kind[row] = kind
+        self._freq[row] = freq
+        self._value[row] = value
+        self._slot[row] = slot
+        self._pair[row] = pair
+        self._n += 1
+        return row
 
     def insert_qa(
         self,
@@ -262,21 +389,12 @@ class VectorStore:
             (question_vec, RecordKind.QUESTION),
             (answer_vec, RecordKind.ANSWER),
         ):
-            rec = VectorRecord(
-                rid=self._next_rid,
-                vec=np.array(vec, dtype=float),
-                kind=kind,
-                freq=0,
-                cache_value=value,
-                inserted_at=slot,
-                pair_id=pair,
-            )
-            self._records[rec.rid] = rec
-            self._pairs.setdefault(pair, {})[kind] = rec.rid
+            rid = self._next_rid
             self._next_rid += 1
-            rids.append(rec.rid)
+            row = self._append(rid, vec, kind, 0, value, slot, pair)
+            rids.append(rid)
             if self._index is not None:
-                self._index.add(rec.rid, rec.vec)
+                self._index.add(row, self._vecs[row])
         self._inserts_since_build += 2
         if self._index is None or self._inserts_since_build >= self.rebuild_every:
             self.rebuild_index()
@@ -294,28 +412,43 @@ class VectorStore:
         return self.pair_record(record.pair_id, want)
 
     def pair_record(self, pair_id: int, kind: RecordKind) -> VectorRecord | None:
-        rid = self._pairs.get(pair_id, {}).get(kind)
-        return self._records.get(rid) if rid is not None else None
+        # Pair ids grow with rid, so the (at most two) rows of a pair are
+        # adjacent and sorted by pair id.
+        n = self._n
+        first = int(self._pair[:n].searchsorted(pair_id))
+        for row in range(first, min(first + 2, n)):
+            if self._pair[row] == pair_id and int(self._kind[row]) == kind:
+                return self._record(row)
+        return None
 
     # -- search ------------------------------------------------------------
 
-    def _score(self, rids: Sequence[int], query: np.ndarray, width: int) -> CorrelationSet:
-        if not rids:
+    def _score(self, rows: np.ndarray, query: np.ndarray, width: int) -> CorrelationSet:
+        if not rows.size:
             return CorrelationSet([])
-        rid_arr = np.asarray(rids)
-        vecs = np.stack([self._records[r].vec for r in rids])
+        vecs = self._vecs[rows]
         dists = np.linalg.norm(vecs - query[None, :], axis=1)
-        order = np.lexsort((rid_arr, dists))[:width]  # distance ties break by rid
-        entries = [
-            CorrelationEntry(record=self._records[int(rid_arr[i])], distance=float(dists[i]))
-            for i in order
-        ]
-        return CorrelationSet(entries)
+        # Rows are in rid order, so distance ties break by rid.
+        order = np.lexsort((rows, dists))[:width]
+        hit, dists = rows[order], dists[order]
+        kinds, freqs = self._kind[hit], self._freq[hit]
+        columns = np.array([1.0 / (1.0 + dists), kinds, freqs], dtype=float)
+        hits = (
+            self._rid[hit],
+            vecs[order],
+            kinds,
+            freqs,
+            self._value[hit],
+            self._slot[hit],
+            self._pair[hit],
+            dists,
+        )
+        return CorrelationSet._of_hits(hits, columns)
 
     def exact_knn(self, query: np.ndarray, width: int) -> CorrelationSet:
         """Exact nearest neighbours by full scan; the reference for the index."""
         self._check_query(query, width)
-        return self._score(list(self._records.keys()), query, width)
+        return self._score(np.arange(self._n), query, width)
 
     def query(self, query: np.ndarray, width: int) -> CorrelationSet:
         """Approximate nearest neighbours through the IVF index.
@@ -325,18 +458,16 @@ class VectorStore:
         those candidates exactly.
         """
         self._check_query(query, width)
-        if not self._records:
-            return CorrelationSet([])
         index = self._index
-        if index is None:  # no insert yet since construction/restore
-            return self._score(list(self._records.keys()), query, width)
+        if index is None:  # empty, or no insert yet since construction/restore
+            return self._score(np.arange(self._n), query, width)
         target = max(self.min_candidates, width)
         candidates: list[int] = []
         for li in index.probe_order(query):
             candidates.extend(index.lists[li])
             if len(candidates) >= target:
                 break
-        return self._score(candidates, query, width)
+        return self._score(np.array(candidates), query, width)
 
     def _check_query(self, query: np.ndarray, width: int) -> None:
         if query.shape != (self.dim,):
@@ -349,19 +480,18 @@ class VectorStore:
     def rebuild_index(self) -> IvfIndex | None:
         """Re-cluster all records into fresh inverted lists."""
         self._inserts_since_build = 0
-        if not self._records:
+        n = self._n
+        if not n:
             self._index = None
             return None
-        rids = list(self._records.keys())
-        vecs = np.stack([self._records[r].vec for r in rids])
-        k = min(self.nlist, len(rids))
+        k = min(self.nlist, n)
         rng = substream(self.seed, DOMAIN_INDEX, self.server, self._builds)
         self._builds += 1
-        centroids, assign = _lloyd_kmeans(vecs, k, rng)
+        centroids, assign = _lloyd_kmeans(self._vecs[:n], k, rng)
         lists: list[list[int]] = [[] for _ in range(k)]
-        for rid, li in zip(rids, assign):
-            lists[int(li)].append(rid)
-        self._index = IvfIndex(centroids=centroids, lists=lists)
+        for row, li in enumerate(assign.tolist()):
+            lists[li].append(row)
+        self._index = IvfIndex(centroids, lists)
         return self._index
 
     # -- cache-value dynamics ----------------------------------------------
@@ -371,21 +501,30 @@ class VectorStore:
 
         The new value is the mean of the old value and the observed payoff
         ``q - d``, so the value decays geometrically toward the recent payoff.
+        The store's row is updated and so is ``record``.
         """
-        if self._records.get(record.rid) is not record:
+        row = self._row_of(record.rid)
+        if (
+            row is None
+            or int(self._pair[row]) != record.pair_id
+            or int(self._kind[row]) != record.kind
+        ):
             raise KeyError(f"record {record.rid} is not in this store")
         if q >= 0.0:
             raise ValueError(f"satisfaction must be strictly negative, got {q}")
         if d <= 0.0:
             raise ValueError(f"delay must be strictly positive, got {d}")
-        record.cache_value = (record.cache_value + (q - d)) / 2.0
-        record.freq += 1
-        return record.cache_value
+        value = (float(self._value[row]) + (q - d)) / 2.0
+        self._value[row] = value
+        self._freq[row] += 1
+        record.cache_value = value
+        record.freq = int(self._freq[row])
+        return value
 
     def mean_cache_value(self) -> float:
-        if not self._records:
+        if not self._n:
             raise EmptyCorrelationError("store is empty")
-        return float(np.mean([r.cache_value for r in self._records.values()]))
+        return float(np.mean(self._value[: self._n]))
 
     def evict(self, slot: int) -> int:
         """Drop records with below-mean cache value; returns how many fell.
@@ -393,20 +532,18 @@ class VectorStore:
         Records exactly at the mean survive.  The index is rebuilt from the
         survivors.
         """
-        if not self._records:
+        n = self._n
+        if not n:
             return 0
-        mean = self.mean_cache_value()
-        doomed = [r for r in self._records.values() if r.cache_value < mean]
-        for rec in doomed:
-            del self._records[rec.rid]
-            kinds = self._pairs.get(rec.pair_id)
-            if kinds is not None:
-                kinds.pop(rec.kind, None)
-                if not kinds:
-                    del self._pairs[rec.pair_id]
+        keep = ~(self._value[:n] < self.mean_cache_value())
+        kept = int(keep.sum())
+        for name in ("_vecs", *_FIELDS):
+            arr = getattr(self, name)
+            arr[:kept] = arr[:n][keep]
+        self._n = kept
         self.rebuild_index()
-        self.eviction_log.append((slot, len(doomed)))
-        return len(doomed)
+        self.eviction_log.append((slot, n - kept))
+        return n - kept
 
 
 # -- snapshots -------------------------------------------------------------
@@ -427,7 +564,7 @@ def write_snapshot(store: VectorStore, path) -> int:
         for rec in store.records():
             row = {
                 "rid": rec.rid,
-                "vec": [float(x) for x in rec.vec],
+                "vec": rec.vec.tolist(),
                 "kind": int(rec.kind),
                 "freq": rec.freq,
                 "cache_value": rec.cache_value,
@@ -462,6 +599,7 @@ def read_snapshot(
             seed=seed,
             server=server,
         )
+        records: list[VectorRecord] = []
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -491,9 +629,24 @@ def read_snapshot(
                 raise ParseError(
                     f"{path}: line {lineno}: cache_value must be negative"
                 )
-            store._records[rec.rid] = rec
-            store._pairs.setdefault(rec.pair_id, {})[rec.kind] = rec.rid
+            records.append(rec)
     store._next_rid = int(header["next_rid"])
     store._next_pair = int(header["next_pair"])
+    records.sort(key=lambda r: r.rid)
+    halves = {(r.pair_id, r.kind) for r in records}
+    if len({r.rid for r in records}) < len(records) or len(halves) < len(records):
+        raise ParseError(f"{path}: duplicate record id or pair half")
+    if records and (
+        records[-1].rid >= store._next_rid
+        or max(r.pair_id for r in records) >= store._next_pair
+    ):
+        raise ParseError(f"{path}: record or pair id not below next_rid/next_pair")
+    if any(a.pair_id > b.pair_id for a, b in zip(records, records[1:])):
+        raise ParseError(f"{path}: pair ids decrease with record id")
+    for rec in records:
+        store._append(
+            rec.rid, rec.vec, rec.kind, rec.freq, rec.cache_value,
+            rec.inserted_at, rec.pair_id,
+        )
     store.rebuild_index()
     return store

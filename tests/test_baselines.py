@@ -1,5 +1,7 @@
 """Tests for the comparison schedulers and learned-variant presets."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -49,7 +51,7 @@ def make_ctx(corr, server=0, slot=0, seed=0, q_dim=8, width=5):
         question_vec=q,
         server=server,
         slot=slot,
-        rng=np.random.default_rng(seed),
+        make_rng=functools.partial(np.random.default_rng, seed),
     )
 
 

@@ -415,6 +415,24 @@ class TestReportFiles:
         assert loaded.train.mean_reward == expect
         assert loaded.train.requests == n
 
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_run_report_round_trip(self, tmp_path, suffix):
+        # Windows come back bit for bit.  Summaries are rebuilt from window
+        # means, so they match run_experiment's running totals to rounding.
+        report = run_experiment(tiny_cfg(policy="greedy-0.3", train_slots=23))
+        path = tmp_path / f"report{suffix}"
+        emit_report(report, path)
+        loaded = load_report(path)
+        assert loaded.windows == report.windows
+        for got, want in ((loaded.train, report.train), (loaded.test, report.test)):
+            assert (got.phase, got.requests) == (want.phase, want.requests)
+            for field in (
+                "mean_reward", "mean_satisfaction", "mean_delay", "llm_direct_freq"
+            ):
+                assert getattr(got, field) == pytest.approx(
+                    getattr(want, field), rel=0, abs=1e-12
+                )
+
     def test_csv_missing_header_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# edgesched-report v1\n# policy = random\n")
@@ -598,6 +616,18 @@ class TestWorkloadReplay:
         save_workload(broken, [r for r in reqs if not (r.slot == 2 and r.server == 1)])
         with pytest.raises(ConfigError, match="expected 2"):
             run_experiment(dataclasses.replace(cfg, workload_file=str(broken)))
+
+    def test_slot_with_two_requests_for_one_server(self, tmp_path):
+        cfg = tiny_cfg()
+        path = self.export(tmp_path, cfg)
+        reqs = load_workload(path, dim=cfg.dim)
+        for r in reqs:
+            if r.slot == 2:
+                r.server = 0
+        dup = tmp_path / "dup.jsonl"
+        save_workload(dup, reqs)
+        with pytest.raises(ConfigError, match=r"servers \[0, 0\], expected one per"):
+            run_experiment(dataclasses.replace(cfg, workload_file=str(dup)))
 
     def test_server_index_out_of_range(self, tmp_path):
         cfg = tiny_cfg()

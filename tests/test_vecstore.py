@@ -1,9 +1,15 @@
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgesched.errors import EmptyCorrelationError, ParseError
 from edgesched.seeding import substream
 from edgesched.vecstore import (
+    _cluster_means,
     CorrelationEntry,
     CorrelationSet,
     RecordKind,
@@ -66,9 +72,10 @@ class TestInsertAndPairs:
         assert rq.cache_value == ra.cache_value == -0.5
         assert rq.freq == 0 and ra.freq == 0
         assert rq.inserted_at == 3
-        assert store.pair_partner(rq) is ra
-        assert store.pair_partner(ra) is rq
-        assert store.pair_record(rq.pair_id, RecordKind.ANSWER) is ra
+        # records are copies of store rows, so they compare by rid
+        assert store.pair_partner(rq).rid == ra.rid
+        assert store.pair_partner(ra).rid == rq.rid
+        assert store.pair_record(rq.pair_id, RecordKind.ANSWER).rid == ra.rid
 
     def test_initial_value_clamped_negative(self):
         store = make_store()
@@ -391,6 +398,28 @@ class TestSnapshot:
         with pytest.raises(ParseError, match="line 3"):
             read_snapshot(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rows: rows + [rows[-1]], "duplicate record id"),
+            (lambda rows: [{**rows[0], "rid": 99}] + rows[1:], "next_rid"),
+            (
+                lambda rows: [{**r, "pair_id": 1 - r["pair_id"]} for r in rows],
+                "pair ids decrease",
+            ),
+        ],
+    )
+    def test_inconsistent_ids_rejected(self, tmp_path, edit, message):
+        # Rows must come back in rid order, and with pair ids rising with rid.
+        store = make_store(dim=8, seed=21)
+        fill(store, 2, seed=22)
+        path = tmp_path / "store.jsonl"
+        write_snapshot(store, path)
+        header, *rows = [json.loads(line) for line in path.read_text().splitlines()]
+        path.write_text("".join(json.dumps(r) + "\n" for r in [header, *edit(rows)]))
+        with pytest.raises(ParseError, match=message):
+            read_snapshot(path)
+
     def test_nonnegative_cache_value_rejected(self, tmp_path):
         store = make_store(dim=8, seed=19)
         fill(store, 1, seed=20)
@@ -400,3 +429,177 @@ class TestSnapshot:
         path.write_text(text)
         with pytest.raises(ParseError, match="cache_value"):
             read_snapshot(path)
+
+
+# -- properties over random operation sequences ------------------------------
+#
+# A plain dict model (rid -> fields) replays the same inserts, cache hits and
+# eviction sweeps as the store.  Vectors come from a coarse integer grid so
+# that duplicate vectors and exact distance ties are common.
+
+_DIM = 4
+_GRID_VECS = st.lists(st.integers(-2, 2), min_size=_DIM, max_size=_DIM).map(
+    lambda xs: np.array(xs, dtype=float)
+)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), _GRID_VECS, _GRID_VECS, st.floats(-5.0, 0.5)),
+        st.tuples(
+            st.just("hit"),
+            st.integers(0, 10**6),
+            st.floats(-3.0, -0.01),
+            st.floats(0.05, 4.0),
+        ),
+        st.tuples(st.just("evict")),
+    ),
+    min_size=1,
+    max_size=40,
+)
+_PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def _fields(rec):
+    return [rec.vec.tolist(), rec.kind, rec.freq, rec.cache_value, rec.inserted_at, rec.pair_id]
+
+
+def _check_pairs(store, model):
+    for rec in store.records():
+        partner = store.pair_partner(rec)
+        want = [
+            rid
+            for rid, m in model.items()
+            if m[5] == rec.pair_id and m[1] != rec.kind
+        ]
+        if not want:
+            assert partner is None
+        else:
+            assert partner.rid == want[0]
+            assert partner.pair_id == rec.pair_id and partner.kind != rec.kind
+            assert store.pair_partner(partner).rid == rec.rid
+
+
+def _replay(store, ops, on_evict=None):
+    """Apply ``ops`` to ``store`` and to a dict model; returns the model,
+    rid -> [vec as a list, kind, freq, cache_value, inserted_at, pair_id]."""
+    model: dict[int, list] = {}
+    next_pair = 0
+    for step, op in enumerate(ops):
+        if op[0] == "insert":
+            _, qv, av, value = op
+            rq, ra = store.insert_qa(qv, av, slot=step, initial_cache_value=value)
+            v = clamp_negative(value)
+            model[rq] = [qv.tolist(), RecordKind.QUESTION, 0, v, step, next_pair]
+            model[ra] = [av.tolist(), RecordKind.ANSWER, 0, v, step, next_pair]
+            next_pair += 1
+        elif op[0] == "hit" and model:
+            _, pick, q, d = op
+            rid = sorted(model)[pick % len(model)]
+            m = model[rid]
+            got = store.update_cache_value(store.record(rid), q, d)
+            m[3] = (m[3] + (q - d)) / 2.0
+            m[2] += 1
+            assert got == m[3]
+        elif op[0] == "evict":
+            pre = {r.rid: r.cache_value for r in store.records()}
+            mean = store.mean_cache_value() if pre else None
+            dropped = store.evict(slot=step)
+            if on_evict is not None:
+                on_evict(pre, mean, dropped)
+            for rid in [rid for rid, v in pre.items() if v < mean]:
+                del model[rid]
+        assert {r.rid: _fields(r) for r in store.records()} == model
+    return model
+
+
+class TestStoreProperties:
+    @_PROPERTY_SETTINGS
+    @given(ops=_OPS, nlist=st.integers(1, 4), rebuild_every=st.integers(1, 12))
+    def test_store_matches_a_dict_model(self, ops, nlist, rebuild_every):
+        store = make_store(dim=_DIM, nlist=nlist, rebuild_every=rebuild_every, seed=3)
+        model = _replay(store, ops)
+        assert len(store) == len(model)
+        _check_pairs(store, model)
+
+    @_PROPERTY_SETTINGS
+    @given(ops=_OPS)
+    def test_eviction_drops_exactly_the_records_below_the_mean(self, ops):
+        def on_evict(pre, mean, dropped):
+            below = {rid for rid, v in pre.items() if v < mean}
+            if pre:
+                assert mean == pytest.approx(float(np.mean(list(pre.values()))))
+            assert dropped == len(below)
+            assert {r.rid for r in store.records()} == set(pre) - below
+
+        store = make_store(dim=_DIM, nlist=2, rebuild_every=5, seed=4)
+        _replay(store, ops + [("evict",)], on_evict)
+
+    @_PROPERTY_SETTINGS
+    @given(ops=_OPS, nlist=st.integers(1, 4), query=_GRID_VECS, width=st.integers(1, 8))
+    def test_query_returns_a_sorted_subset_of_live_records(self, ops, nlist, query, width):
+        store = make_store(dim=_DIM, nlist=nlist, min_candidates=3, rebuild_every=7, seed=5)
+        model = _replay(store, ops)
+        got = store.query(query, width)
+        assert len(got) == min(width, len(model))
+        keys = [(e.distance, e.record.rid) for e in got]
+        assert keys == sorted(keys)
+        assert len({e.record.rid for e in got}) == len(got)
+        for e in got:
+            assert e.record.rid in model
+            assert _fields(e.record) == _fields(store.record(e.record.rid))
+            # grid vectors: squared distances are small integers, so exact
+            want = np.linalg.norm(np.array(model[e.record.rid][0]) - query)
+            assert e.distance == float(want)
+
+    @_PROPERTY_SETTINGS
+    @given(ops=_OPS, query=_GRID_VECS, width=st.integers(1, 8))
+    def test_single_list_equals_exact_scan(self, ops, query, width):
+        store = make_store(dim=_DIM, nlist=1, rebuild_every=3, seed=6)
+        _replay(store, ops)
+        via_index = [(e.record.rid, e.distance) for e in store.query(query, width)]
+        via_scan = [(e.record.rid, e.distance) for e in store.exact_knn(query, width)]
+        assert via_index == via_scan
+
+    @_PROPERTY_SETTINGS
+    @given(ops=_OPS, query=_GRID_VECS)
+    def test_snapshot_round_trip_is_lossless(self, ops, query):
+        store = make_store(dim=_DIM, nlist=2, rebuild_every=4, seed=7)
+        _replay(store, ops)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "store.jsonl"
+            assert write_snapshot(store, path) == len(store)
+            back = read_snapshot(path, nlist=2, rebuild_every=4, seed=7)
+        assert [(r.rid, _fields(r)) for r in back.records()] == [
+            (r.rid, _fields(r)) for r in store.records()
+        ]
+        if len(store):
+            assert back.mean_cache_value() == store.mean_cache_value()
+        want = [(e.record.rid, e.distance) for e in store.exact_knn(query, 5)]
+        assert [(e.record.rid, e.distance) for e in back.exact_knn(query, 5)] == want
+        a = store.insert_qa(query, query, slot=99, initial_cache_value=-1.0)
+        assert back.insert_qa(query, query, slot=99, initial_cache_value=-1.0) == a
+        assert _fields(back.record(a[0])) == _fields(store.record(a[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 300),
+    k=st.integers(1, 40),
+    dim=st.sampled_from([2, 4, 16, 64]),
+    grid=st.booleans(),
+)
+def test_cluster_means_match_member_means_bitwise(seed, n, k, dim, grid):
+    rng = np.random.default_rng(seed)
+    vecs = (
+        rng.integers(-2, 3, size=(n, dim)).astype(float)
+        if grid
+        else rng.normal(size=(n, dim))
+    )
+    assign = rng.integers(0, k, size=n)
+    centroids = rng.normal(size=(k, dim))
+    want = centroids.copy()
+    for j in range(k):
+        members = vecs[assign == j]
+        if members.shape[0]:
+            want[j] = members.mean(axis=0)
+    assert np.array_equal(_cluster_means(vecs, assign, centroids), want)
