@@ -85,11 +85,6 @@ class WindowAccumulator:
         self.n_agents = n_agents
         self.windows: list[MetricsWindow] = []
         self._reset()
-        self.total_count = 0
-        self.total_r = 0.0
-        self.total_q = 0.0
-        self.total_d = 0.0
-        self.total_direct = 0
 
     def _reset(self):
         self._count = 0
@@ -108,11 +103,6 @@ class WindowAccumulator:
         self._direct += t.resolved == "B"
         self._agent_r[t.server] += t.r
         self._agent_n[t.server] += 1
-        self.total_count += 1
-        self.total_r += t.r
-        self.total_q += t.q
-        self.total_d += t.d
-        self.total_direct += t.resolved == "B"
         if self._count == self.window_size:
             return self._close()
         return None
@@ -144,17 +134,6 @@ class WindowAccumulator:
             return self._close()
         return None
 
-    def summary(self) -> PhaseSummary:
-        n = max(self.total_count, 1)
-        return PhaseSummary(
-            phase=self.phase,
-            requests=self.total_count,
-            mean_reward=self.total_r / n,
-            mean_satisfaction=self.total_q / n,
-            mean_delay=self.total_d / n,
-            llm_direct_freq=self.total_direct / n,
-        )
-
 
 @dataclass
 class MetricsReport:
@@ -185,11 +164,11 @@ _WINDOW_FIELDS = (
 
 
 def _summaries_from_windows(windows: list[MetricsWindow]) -> dict[str, PhaseSummary]:
-    """Phase summaries rebuilt from count-weighted window means.
+    """Phase summaries as count-weighted means of the phase's windows.
 
-    They agree with the summaries :func:`run_experiment` takes from running
-    totals to rounding (a few ulps), not bit for bit: the sums are taken in
-    another order.
+    This is the one source of summaries: :func:`run_experiment` and
+    :func:`load_report` both call it, so a report read back from a file has
+    the summaries of the run that wrote it, bit for bit.
     """
     out = {}
     for phase in ("train", "test"):
@@ -246,11 +225,10 @@ def _infer_format(path) -> str:
 
 
 def load_report(path, fmt: str | None = None) -> MetricsReport:
-    """Read a report back.
+    """Read a report back; it equals the report that was written.
 
-    Window fields round-trip exactly.  The phase summaries are rebuilt from
-    the windows (see :func:`_summaries_from_windows`), so they can differ
-    from the written run's in the last bits.
+    Window fields round-trip exactly, and the phase summaries are rebuilt
+    from them with :func:`_summaries_from_windows`, as the run built them.
     """
     fmt = fmt or _infer_format(path)
     windows: list[MetricsWindow] = []
@@ -292,8 +270,9 @@ def load_report(path, fmt: str | None = None) -> MetricsReport:
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("config "):
-                    key, _, value = body[len("config "):].partition(" = ")
-                    config[key.strip()] = value
+                    # Split the unstripped line: an empty value ends in " = ".
+                    key, _, value = line.rstrip("\n").partition(" = ")
+                    config[key.split(maxsplit=2)[2]] = value
                 elif " = " in body:
                     key, _, value = body.partition(" = ")
                     meta[key.strip()] = value.strip()
@@ -602,14 +581,16 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
         deployment.play(test_slots, cfg.mode, actor, None, acc_test)
         acc_test.flush()
 
+        windows = acc_train.windows + acc_test.windows
+        summaries = _summaries_from_windows(windows)
         return MetricsReport(
             policy=cfg.policy,
             mode=cfg.mode,
             seed=cfg.seed,
             config=cfg.flat_dict(),
-            windows=acc_train.windows + acc_test.windows,
-            train=acc_train.summary(),
-            test=acc_test.summary(),
+            windows=windows,
+            train=summaries["train"],
+            test=summaries["test"],
         )
 
 

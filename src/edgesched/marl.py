@@ -67,12 +67,12 @@ def compute_gae(
     return adv
 
 
-def expert_quota(pool_size: int, update_index: int, min_quota: int = 16) -> int:
+def expert_quota(pool_size: int, update_index: int) -> int:
     """Demonstrations to mix into update number ``update_index`` (1-based).
 
     The quota is the pool size divided by the update index, rounded down;
-    callers stop using demonstrations once it is no longer above
-    ``min_quota``.
+    the trainer stops using demonstrations once it is no longer above
+    ``TrainerConfig.min_demo_quota``.
     """
     if update_index < 1:
         raise ValueError(f"update_index must be >= 1, got {update_index}")
@@ -199,31 +199,27 @@ class ExperienceBuffer:
 
 
 class DemoSet:
-    """A frozen pool of expert segments with a flat per-transition index."""
+    """A frozen pool of expert segments whose transitions are numbered.
+
+    Numbers run through the segments in order, and within a segment slot by
+    slot, agent by agent: transition ``starts[s] + t * N + n`` is agent
+    ``n``'s step ``t`` of segment ``s``, the same row as in the segment's
+    flattened batch.
+    """
 
     def __init__(self, segments: list[Segment]):
         self.segments = list(segments)
-        self._flat: list[tuple[int, int, int]] = []
-        for si, seg in enumerate(self.segments):
-            for t in range(seg.steps):
-                for n in range(seg.n_agents):
-                    self._flat.append((si, t, n))
+        sizes = [seg.steps * seg.n_agents for seg in self.segments]
+        self.starts = np.concatenate([[0], np.cumsum(sizes, dtype=int)])
 
     def __len__(self) -> int:
-        return len(self._flat)
+        return int(self.starts[-1])
 
-    def sample(self, k: int, rng: np.random.Generator) -> list[tuple[int, int, int]]:
-        """Draw ``k`` distinct transitions (all of them when k >= pool size)."""
-        if k >= len(self._flat):
-            return list(self._flat)
-        idx = rng.choice(len(self._flat), size=k, replace=False)
-        return [self._flat[int(i)] for i in idx]
-
-    def mean_reward(self) -> float:
-        total = 0.0
-        for si, t, n in self._flat:
-            total += self.segments[si].rewards[t, n]
-        return total / len(self._flat) if self._flat else 0.0
+    def sample(self, k: int, rng: np.random.Generator) -> np.ndarray:
+        """``k`` distinct transition numbers, sorted (all when k >= pool size)."""
+        if k >= len(self):
+            return np.arange(len(self))
+        return np.sort(rng.choice(len(self), size=k, replace=False))
 
 
 @dataclass
@@ -233,6 +229,24 @@ class NetBundle:
     encoder: FeatureEncoder | None
     policy: PolicyNet
     value: ValueNet
+
+    def states(
+        self, params: ParamSet, corr: np.ndarray, question: np.ndarray
+    ) -> tuple[np.ndarray, dict | None]:
+        """Policy inputs for observations of shape ``(..., dim)``.
+
+        Each row is its correlation features followed by its question,
+        encoded under ``params`` when there is an encoder.  Returns the
+        ``(..., state_dim)`` states and the encoder cache (``None`` without
+        an encoder).
+        """
+        lead = corr.shape[:-1]
+        feats = question.reshape(-1, question.shape[-1])
+        cache = None
+        if self.encoder is not None:
+            feats, cache = self.encoder.forward(params, feats)
+        state = np.concatenate([corr.reshape(-1, corr.shape[-1]), feats], axis=1)
+        return state.reshape(lead + (-1,)), cache
 
 
 @dataclass
@@ -311,12 +325,7 @@ def ppo_loss(
     idx = np.arange(B)
 
     # Policy path (differentiated end to end, encoder included).
-    if nets.encoder is not None:
-        feats, enc_cache = nets.encoder.forward(policy_params, batch.question)
-    else:
-        feats = batch.question
-    corr_dim = batch.corr.shape[1]
-    state = np.concatenate([batch.corr, feats], axis=1)
+    state, enc_cache = nets.states(policy_params, batch.corr, batch.question)
     probs, pi_cache = nets.policy.forward(policy_params, state)
     p_taken = probs[idx, batch.actions]
     ratio = p_taken / batch.old_probs
@@ -330,20 +339,8 @@ def ppo_loss(
     entropy = float(-(probs * logp).sum(axis=1).mean())
 
     # Critic path; encoded features enter as constants (no encoder gradient).
-    n_agents = batch.global_corr.shape[1]
-    gq_flat = batch.global_question.reshape(B * n_agents, -1)
-    if nets.encoder is not None:
-        gfeats, _ = nets.encoder.forward(policy_params, gq_flat)
-    else:
-        gfeats = gq_flat
-    per_agent = np.concatenate(
-        [
-            batch.global_corr.reshape(B * n_agents, -1),
-            gfeats,
-        ],
-        axis=1,
-    ).reshape(B, -1)
-    values, v_cache = nets.value.forward(value_params, per_agent)
+    gstate, _ = nets.states(policy_params, batch.global_corr, batch.global_question)
+    values, v_cache = nets.value.forward(value_params, gstate.reshape(B, -1))
     v_err = values - batch.returns
     value_mse = float(np.mean(v_err**2))
 
@@ -362,7 +359,7 @@ def ppo_loss(
     dobj_dprobs += cfg.entropy_coeff * (-(logp + 1.0) / B)
     dstate, pol_grads = nets.policy.backward(policy_params, pi_cache, -dobj_dprobs)
     if nets.encoder is not None:
-        dfeats = dstate[:, corr_dim:]
+        dfeats = dstate[:, batch.corr.shape[1] :]
         _, enc_grads = nets.encoder.backward(policy_params, enc_cache, dfeats)
         pol_grads = accumulate_grads(pol_grads, enc_grads)
 
@@ -384,7 +381,6 @@ def ppo_loss(
 class PolicySnapshot:
     """A frozen copy of the shared policy that agents act from."""
 
-    version: int
     params: ParamSet
     nets: NetBundle
 
@@ -392,11 +388,7 @@ class PolicySnapshot:
         self, corr_features: np.ndarray, question: np.ndarray
     ) -> np.ndarray:
         """Action distribution for a batch of local observations."""
-        if self.nets.encoder is not None:
-            feats, _ = self.nets.encoder.forward(self.params, question)
-        else:
-            feats = question
-        state = np.concatenate([corr_features, feats], axis=1)
+        state, _ = self.nets.states(self.params, corr_features, question)
         probs, _ = self.nets.policy.forward(self.params, state)
         return probs
 
@@ -412,7 +404,6 @@ class UpdateResult:
     value_mse: float = 0.0
     entropy: float = 0.0
     clip_fraction: float = 0.0
-    version: int = 0
 
 
 class Trainer:
@@ -454,32 +445,19 @@ class Trainer:
         self.policy_opt = Adam(self.cfg.lr_policy)
         self.value_opt = Adam(self.cfg.lr_value)
         self.buffer = ExperienceBuffer(n_agents)
-        self.update_index = 1  # 1-based divisor for the demo quota
         self.updates_done = 0
         self.history: list[UpdateResult] = []
 
     # -- inference helpers -------------------------------------------------
 
     def snapshot(self) -> PolicySnapshot:
-        return PolicySnapshot(
-            version=self.policy_params.version,
-            params=self.policy_params,
-            nets=self.nets,
-        )
-
-    def _global_states(self, corr: np.ndarray, question: np.ndarray) -> np.ndarray:
-        """(T, N, *) observations -> (T, global_dim) critic inputs."""
-        T = corr.shape[0]
-        q_flat = question.reshape(T * self.n_agents, -1)
-        if self.nets.encoder is not None:
-            feats, _ = self.nets.encoder.forward(self.policy_params, q_flat)
-        else:
-            feats = q_flat
-        per = np.concatenate([corr.reshape(T * self.n_agents, -1), feats], axis=1)
-        return per.reshape(T, -1)
+        """The current policy, copied so later updates leave it unchanged."""
+        return PolicySnapshot(params=self.policy_params.copy(), nets=self.nets)
 
     def values_of(self, corr: np.ndarray, question: np.ndarray) -> np.ndarray:
-        gstate = self._global_states(corr, question)
+        """Critic values of ``(T, N, *)`` slot observations, one per slot."""
+        states, _ = self.nets.states(self.policy_params, corr, question)
+        gstate = states.reshape(len(corr), -1)
         return self.nets.value.forward(self.value_params, gstate)[0]
 
     # -- batch assembly ----------------------------------------------------
@@ -533,27 +511,25 @@ class Trainer:
         """
         cfg = self.cfg
         if sum(seg.steps for seg in self.buffer.segments) <= cfg.min_agent_batch:
-            return UpdateResult(
-                status="insufficient", version=self.policy_params.version
-            )
+            return UpdateResult(status="insufficient")
 
+        update = self.updates_done + 1  # 1-based: the demo quota's divisor
         parts = [self._flatten_segment(seg) for seg in self.buffer.segments]
         quota = 0
         demo_count = 0
         if self.demos is not None and len(self.demos) > 0:
-            quota = expert_quota(len(self.demos), self.update_index, cfg.min_demo_quota)
+            demos = self.demos
+            quota = expert_quota(len(demos), update)
             if quota > cfg.min_demo_quota:
-                rng = substream(self.seed, DOMAIN_TRAINER, self.update_index, 0)
-                chosen = self.demos.sample(quota, rng)
-                by_seg: dict[int, list[int]] = {}
-                for si, t, n in chosen:
-                    row = t * self.demos.segments[si].n_agents + n
-                    by_seg.setdefault(si, []).append(row)
-                for si in sorted(by_seg):
-                    # GAE needs the whole segment under the current critic,
-                    # even though only the sampled rows join the batch.
-                    seg_batch = self._flatten_segment(self.demos.segments[si])
-                    parts.append(seg_batch.take(np.array(sorted(by_seg[si]))))
+                rng = substream(self.seed, DOMAIN_TRAINER, update, 0)
+                chosen = demos.sample(quota, rng)
+                bounds = np.searchsorted(chosen, demos.starts)
+                for si, seg in enumerate(demos.segments):
+                    rows = chosen[bounds[si] : bounds[si + 1]] - demos.starts[si]
+                    if len(rows):
+                        # GAE needs the whole segment under the current
+                        # critic, even though only the sampled rows join.
+                        parts.append(self._flatten_segment(seg).take(rows))
                 demo_count = len(chosen)
 
         batch = PpoBatch.concat(parts)
@@ -563,9 +539,8 @@ class Trainer:
         B = len(batch)
         stats: list[PpoLossResult] = []
         for epoch in range(cfg.epochs):
-            order = substream(
-                self.seed, DOMAIN_TRAINER, self.update_index, 1 + epoch
-            ).permutation(B)
+            rng = substream(self.seed, DOMAIN_TRAINER, update, 1 + epoch)
+            order = rng.permutation(B)
             for start in range(0, B, cfg.minibatch_size):
                 take = order[start : start + cfg.minibatch_size]
                 result = ppo_loss(
@@ -575,15 +550,10 @@ class Trainer:
                     batch.take(take),
                     cfg,
                 )
-                self.policy_params = self.policy_opt.step(
-                    self.policy_params, result.policy_grads
-                )
-                self.value_params = self.value_opt.step(
-                    self.value_params, result.value_grads
-                )
+                self.policy_opt.step(self.policy_params, result.policy_grads)
+                self.value_opt.step(self.value_params, result.value_grads)
                 stats.append(result)
 
-        self.update_index += 1
         self.updates_done += 1
         self.buffer.clear_pool()
         out = UpdateResult(
@@ -596,7 +566,6 @@ class Trainer:
             value_mse=float(np.mean([s.value_mse for s in stats])),
             entropy=float(np.mean([s.entropy for s in stats])),
             clip_fraction=float(np.mean([s.clip_fraction for s in stats])),
-            version=self.policy_params.version,
         )
         self.history.append(out)
         return out

@@ -1,9 +1,9 @@
 """Named-tensor parameter sets, the Adam optimizer, and checkpoint files.
 
-Parameters are plain dicts of float64 arrays wrapped in a :class:`ParamSet`
-with a version counter.  Optimizer steps never mutate their input: they
-return a fresh set with the version bumped, so any snapshot handed to a
-worker stays frozen while training continues.
+Parameters are plain dicts of float64 arrays wrapped in a :class:`ParamSet`.
+:meth:`Adam.step` updates a set's tensors in place, so a view that must stay
+frozen while training continues (a policy snapshot handed to the agents) is
+taken with :meth:`ParamSet.copy`.
 """
 
 from __future__ import annotations
@@ -16,11 +16,14 @@ from ..errors import GradientError, ParseError
 
 
 class ParamSet:
-    """An immutable-by-convention bundle of named float64 tensors."""
+    """A bundle of named float64 tensors, owned by one optimizer.
 
-    def __init__(self, tensors: dict[str, np.ndarray], version: int = 0):
+    Float64 arrays are taken without a copy, so pass arrays nothing else
+    holds: the optimizer writes into them.
+    """
+
+    def __init__(self, tensors: dict[str, np.ndarray]):
         self.tensors = {k: np.asarray(v, dtype=float) for k, v in tensors.items()}
-        self.version = version
 
     def names(self) -> list[str]:
         return sorted(self.tensors)
@@ -39,18 +42,11 @@ class ParamSet:
         return sum(t.size for t in self.tensors.values())
 
     def copy(self) -> "ParamSet":
-        return ParamSet({k: v.copy() for k, v in self.tensors.items()}, self.version)
+        return ParamSet({k: v.copy() for k, v in self.tensors.items()})
 
     def flat(self) -> np.ndarray:
         """All entries concatenated in sorted-name order."""
         return np.concatenate([self.tensors[k].ravel() for k in self.names()])
-
-    def zeros_like(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.tensors.items()}
-
-    def replaced(self, tensors: dict[str, np.ndarray]) -> "ParamSet":
-        """A new set with the given tensors and the version bumped."""
-        return ParamSet(tensors, self.version + 1)
 
 
 def accumulate_grads(
@@ -66,7 +62,7 @@ def accumulate_grads(
 
 
 class Adam:
-    """Adam with per-tensor moments; ``step`` is purely functional on params."""
+    """Adam with per-tensor moments, updating parameters and moments in place."""
 
     def __init__(
         self,
@@ -85,8 +81,12 @@ class Adam:
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
 
-    def step(self, params: ParamSet, grads: dict[str, np.ndarray]) -> ParamSet:
-        """One update; rejects non-finite gradients before touching state."""
+    def step(self, params: ParamSet, grads: dict[str, np.ndarray]) -> None:
+        """One update of ``params``' tensors in place.
+
+        Every gradient is checked (present and finite) before any tensor or
+        moment changes, so a rejected step leaves all state as it was.
+        """
         missing = set(params.tensors) - set(grads)
         if missing:
             raise KeyError(f"gradients missing for tensors: {sorted(missing)}")
@@ -99,18 +99,21 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
-        out = {}
         for name in params.names():
             g = np.asarray(grads[name], dtype=float)
             m = self._m.get(name)
-            v = self._v.get(name)
-            m = (1.0 - b1) * g if m is None else b1 * m + (1.0 - b1) * g
-            v = (1.0 - b2) * g * g if v is None else b2 * v + (1.0 - b2) * g * g
-            self._m[name] = m
-            self._v[name] = v
+            if m is None:
+                # asarray: numpy returns a scalar, not an array, for 0-d g.
+                m = self._m[name] = np.asarray((1.0 - b1) * g)
+                v = self._v[name] = np.asarray((1.0 - b2) * g * g)
+            else:
+                v = self._v[name]
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * g * g
             step = self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-            out[name] = params[name] - step
-        return params.replaced(out)
+            params.tensors[name] -= step
 
 
 _CHECKPOINT_FORMAT = "edgesched-params"
@@ -119,11 +122,7 @@ _CHECKPOINT_FORMAT = "edgesched-params"
 def save_params(path, params: ParamSet) -> None:
     """Write a parameter set as JSON lines (header + one line per tensor)."""
     with open(path, "w") as fh:
-        header = {
-            "format": _CHECKPOINT_FORMAT,
-            "version": params.version,
-            "count": len(params),
-        }
+        header = {"format": _CHECKPOINT_FORMAT, "count": len(params)}
         fh.write(json.dumps(header) + "\n")
         for name in params.names():
             t = params[name]
@@ -136,7 +135,11 @@ def save_params(path, params: ParamSet) -> None:
 
 
 def load_params(path) -> ParamSet:
-    """Read a checkpoint written by :func:`save_params`."""
+    """Read a checkpoint written by :func:`save_params`.
+
+    Header keys other than ``format`` and ``count`` are ignored, so files
+    that still carry the old ``version`` field load too.
+    """
     with open(path) as fh:
         try:
             header = json.loads(fh.readline())
@@ -162,4 +165,4 @@ def load_params(path) -> ParamSet:
             f"{path}: header promises {header.get('count')} tensors, "
             f"found {len(tensors)}"
         )
-    return ParamSet(tensors, version=int(header.get("version", 0)))
+    return ParamSet(tensors)

@@ -237,14 +237,24 @@ class TestDemoSet:
         demos = DemoSet([random_segment(rng, T=5, N=2)])
         chosen = demos.sample(6, np.random.default_rng(5))
         assert len(chosen) == 6
-        assert len(set(chosen)) == 6
+        assert len(set(chosen.tolist())) == 6
+        assert np.all(np.diff(chosen) > 0)  # sorted
         everything = demos.sample(100, np.random.default_rng(6))
-        assert len(everything) == len(demos)
+        assert everything.tolist() == list(range(len(demos)))
 
-    def test_mean_reward(self):
-        seg = random_segment(np.random.default_rng(7), T=3, N=2)
-        demos = DemoSet([seg])
-        assert demos.mean_reward() == pytest.approx(seg.rewards.mean(), abs=1e-12)
+    def test_transition_numbers_address_segment_rows(self):
+        rng = np.random.default_rng(8)
+        segs = [random_segment(rng, T=T, N=2) for T in (3, 1, 4)]
+        demos = DemoSet(segs)
+        assert demos.starts.tolist() == [0, 6, 8, 16]
+        number = 0
+        for si, seg in enumerate(segs):
+            for t in range(seg.steps):
+                for n in range(seg.n_agents):
+                    row = number - demos.starts[si]
+                    assert seg.rewards.ravel()[row] == seg.rewards[t, n]
+                    number += 1
+        assert number == len(demos)
 
 
 class TestPpoLoss:
@@ -414,19 +424,29 @@ class TestTrainer:
         assert res.status == "updated"
         assert res.batch_size == 8 * 2  # all pooled slots, both agents
         assert trainer.buffer.segments == []
-        assert trainer.update_index == 2
+        assert trainer.updates_done == 1
         assert trainer.history == [res]
 
-    def test_update_advances_param_versions(self):
-        trainer = make_trainer()
+    @pytest.mark.parametrize("with_encoder", [False, True])
+    def test_snapshot_stays_frozen_through_an_update(self, with_encoder):
+        enc = EncoderConfig(
+            input_dim=4, num_patches=2, num_blocks=1, num_heads=2,
+            model_dim=4, feature_dim=3,
+        )
+        trainer = make_trainer(encoder_cfg=enc if with_encoder else None)
         rng = np.random.default_rng(1)
-        v0 = trainer.policy_params.version
+        snap = trainer.snapshot()
+        frozen = {k: v.copy() for k, v in snap.params.tensors.items()}
+        corr, q = rng.normal(size=(2, 3)), rng.normal(size=(2, 4))
+        probs = snap.action_probs(corr, q)
         feed_slots(trainer, rng, 5)
         trainer.buffer.hand_off(rng.normal(size=(2, 3)), rng.normal(size=(2, 4)))
-        res = trainer.train_update()
-        assert res.status == "updated"
-        assert trainer.policy_params.version > v0
-        assert res.version == trainer.policy_params.version
+        assert trainer.train_update().status == "updated"
+        assert not np.array_equal(trainer.policy_params.flat(), snap.params.flat())
+        assert snap.params.names() == sorted(frozen)
+        for name, tensor in frozen.items():
+            assert np.array_equal(snap.params[name], tensor)
+        assert np.array_equal(snap.action_probs(corr, q), probs)
 
     def test_demo_quota_anneals_and_ceases(self):
         rng = np.random.default_rng(2)
@@ -470,6 +490,36 @@ class TestTrainer:
         assert np.array_equal(outs[0], outs[1])
 
 
+class TestStates:
+    def test_no_encoder_joins_raw_rows(self):
+        trainer = make_trainer()
+        rng = np.random.default_rng(11)
+        corr, q = rng.normal(size=(3, 2, 3)), rng.normal(size=(3, 2, 4))
+        states, cache = trainer.nets.states(trainer.policy_params, corr, q)
+        assert cache is None
+        assert np.array_equal(states, np.concatenate([corr, q], axis=-1))
+
+    def test_encoder_rows_keep_their_leading_shape(self):
+        enc = EncoderConfig(
+            input_dim=4, num_patches=2, num_blocks=1, num_heads=2,
+            model_dim=4, feature_dim=3,
+        )
+        trainer = make_trainer(encoder_cfg=enc)
+        ps = trainer.policy_params
+        rng = np.random.default_rng(12)
+        corr, q = rng.normal(size=(3, 2, 3)), rng.normal(size=(3, 2, 4))
+        states, cache = trainer.nets.states(ps, corr, q)
+        assert cache is not None
+        assert states.shape == (3, 2, trainer.state_dim)
+        flat, _ = trainer.nets.states(ps, corr.reshape(6, 3), q.reshape(6, 4))
+        assert np.array_equal(states.reshape(6, -1), flat)
+        for t in range(3):
+            for n in range(2):
+                feats, _ = trainer.nets.encoder.forward(ps, q[t, n][None])
+                assert np.array_equal(states[t, n, :3], corr[t, n])
+                assert np.allclose(states[t, n, 3:], feats[0], rtol=0, atol=1e-12)
+
+
 class TestRolloutDriver:
     def obs(self, rng, N=2):
         return rng.normal(size=(N, 3)), rng.normal(size=(N, 4))
@@ -497,7 +547,11 @@ class TestRolloutDriver:
             actions, probs, _ = driver.choose(corr, q, decision_keys=[1, 2])
             driver.record(corr, q, actions, probs, rng.normal(size=2))
         assert result is not None
-        assert driver.snapshot.version == trainer.policy_params.version
+        # resynced after the last update: equal values, separate arrays
+        for name in trainer.policy_params.names():
+            mine, theirs = driver.snapshot.params[name], trainer.policy_params[name]
+            assert np.array_equal(mine, theirs)
+            assert not np.shares_memory(mine, theirs)
 
 
 class TestBanditLearning:

@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgesched.errors import ConfigError, GradientError, ParseError
 from edgesched.nn import (
@@ -266,12 +269,6 @@ class TestParamSet:
         cp.tensors["a"][0] = 9.0
         assert ps["a"][0] == 1.0
 
-    def test_replaced_bumps_version(self):
-        ps = ParamSet({"a": np.array([1.0])}, version=4)
-        nxt = ps.replaced({"a": np.array([2.0])})
-        assert nxt.version == 5
-        assert ps.version == 4
-
     def test_accumulate_grads(self):
         total = {"a": np.array([1.0])}
         accumulate_grads(total, {"a": np.array([2.0]), "b": np.array([5.0])})
@@ -279,48 +276,110 @@ class TestParamSet:
         assert total["b"][0] == 5.0
 
 
+def reference_adam(params, grads_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The functional Adam formula: new arrays every step, inputs untouched.
+
+    Returns the final tensors and the raw first and second moments.
+    """
+    params = dict(params)
+    m, v = {}, {}
+    for t, grads in enumerate(grads_seq, start=1):
+        bias1 = 1.0 - beta1**t
+        bias2 = 1.0 - beta2**t
+        for name in sorted(params):
+            g = grads[name]
+            m[name] = (
+                (1.0 - beta1) * g if t == 1 else beta1 * m[name] + (1.0 - beta1) * g
+            )
+            v[name] = (
+                (1.0 - beta2) * g * g
+                if t == 1
+                else beta2 * v[name] + (1.0 - beta2) * g * g
+            )
+            step = lr * (m[name] / bias1) / (np.sqrt(v[name] / bias2) + eps)
+            params[name] = params[name] - step
+    return params, m, v
+
+
+_SHAPES = st.lists(
+    st.lists(st.integers(1, 4), min_size=0, max_size=3).map(tuple),
+    min_size=1,
+    max_size=3,
+)
+
+
 class TestAdam:
     def test_single_step_hand_computed(self):
         params = ParamSet({"w": np.array([1.0])})
         opt = Adam(lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
         g = 2.0
-        out = opt.step(params, {"w": np.array([g])})
+        assert opt.step(params, {"w": np.array([g])}) is None
         # first step: m-hat = g, v-hat = g^2, so the update is lr * g/(|g| + eps)
         expected = 1.0 - 0.1 * g / (np.sqrt(g * g) + 1e-8)
-        assert out["w"][0] == pytest.approx(expected, abs=1e-12)
+        assert params["w"][0] == pytest.approx(expected, abs=1e-12)
 
     def test_two_steps_hand_computed(self):
         params = ParamSet({"w": np.array([0.0])})
         opt = Adam(lr=0.5)
-        p1 = opt.step(params, {"w": np.array([1.0])})
-        p2 = opt.step(p1, {"w": np.array([-1.0])})
+        opt.step(params, {"w": np.array([1.0])})
+        w1 = params["w"][0]
+        opt.step(params, {"w": np.array([-1.0])})
         m = 0.9 * 0.1 * 1.0 + 0.1 * (-1.0)  # raw first moment after 2 steps
         v = 0.999 * 0.001 * 1.0 + 0.001 * 1.0
         mhat = m / (1.0 - 0.9**2)
         vhat = v / (1.0 - 0.999**2)
-        expected = p1["w"][0] - 0.5 * mhat / (np.sqrt(vhat) + 1e-8)
-        assert p2["w"][0] == pytest.approx(expected, abs=1e-12)
+        expected = w1 - 0.5 * mhat / (np.sqrt(vhat) + 1e-8)
+        assert params["w"][0] == pytest.approx(expected, abs=1e-12)
 
-    def test_functional_step_keeps_input_frozen(self):
-        params = ParamSet({"w": np.array([1.0])}, version=3)
-        out = Adam(lr=0.1).step(params, {"w": np.array([1.0])})
-        assert params["w"][0] == 1.0
-        assert params.version == 3
-        assert out.version == 4
-        assert out["w"][0] != 1.0
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shapes=_SHAPES,
+        steps=st.integers(1, 5),
+        lr=st.floats(1e-4, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_in_place_step_matches_functional_formula(self, shapes, steps, lr, seed):
+        rng = np.random.default_rng(seed)
+        start = {f"t{i}": rng.normal(size=shape) for i, shape in enumerate(shapes)}
+        grads_seq = [
+            {k: rng.normal(scale=10.0 ** rng.integers(-3, 3), size=a.shape)
+             for k, a in start.items()}
+            for _ in range(steps)
+        ]
+        want, want_m, want_v = reference_adam(start, grads_seq, lr)
+        params = ParamSet({k: a.copy() for k, a in start.items()})
+        tensors = dict(params.tensors)
+        opt = Adam(lr=lr)
+        for grads in grads_seq:
+            opt.step(params, grads)
+        for name in start:
+            assert params[name] is tensors[name]  # updated in place
+            assert np.array_equal(params[name], want[name])
+            assert np.array_equal(opt._m[name], want_m[name])
+            assert np.array_equal(opt._v[name], want_v[name])
+        assert opt.t == steps
 
     def test_non_finite_gradient_rejected(self):
-        params = ParamSet({"w": np.array([1.0]), "u": np.array([1.0])})
+        params = ParamSet({"u": np.array([1.0]), "w": np.array([1.0])})
         opt = Adam(lr=0.1)
-        with pytest.raises(GradientError, match="'u'"):
-            opt.step(params, {"w": np.array([1.0]), "u": np.array([np.nan])})
-        # state untouched: a later good step behaves like the first
-        assert opt.t == 0
+        opt.step(params, {"u": np.array([0.5]), "w": np.array([-0.5])})
+        before = params.copy()
+        m = {k: a.copy() for k, a in opt._m.items()}
+        v = {k: a.copy() for k, a in opt._v.items()}
+        # the bad tensor sorts last, after "u" could already have moved
+        with pytest.raises(GradientError, match="'w'"):
+            opt.step(params, {"u": np.array([1.0]), "w": np.array([np.nan])})
+        assert opt.t == 1
+        for name in ("u", "w"):
+            assert np.array_equal(params[name], before[name])
+            assert np.array_equal(opt._m[name], m[name])
+            assert np.array_equal(opt._v[name], v[name])
 
     def test_missing_gradient_rejected(self):
         params = ParamSet({"w": np.array([1.0]), "u": np.array([1.0])})
         with pytest.raises(KeyError, match="u"):
             Adam(lr=0.1).step(params, {"w": np.array([1.0])})
+        assert params["w"][0] == 1.0
 
     def test_bad_lr(self):
         with pytest.raises(ValueError):
@@ -330,23 +389,31 @@ class TestAdam:
         params = ParamSet({"w": np.array([5.0])})
         opt = Adam(lr=0.2)
         for _ in range(300):
-            params = opt.step(params, {"w": 2.0 * params["w"]})
+            opt.step(params, {"w": 2.0 * params["w"]})
         assert abs(params["w"][0]) < 1e-3
 
 
 class TestCheckpoints:
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(9)
-        ps = ParamSet(
-            {"a.w": rng.normal(size=(3, 2)), "a.b": rng.normal(size=2)}, version=7
-        )
+        ps = ParamSet({"a.w": rng.normal(size=(3, 2)), "a.b": rng.normal(size=2)})
         path = tmp_path / "ckpt.jsonl"
         save_params(path, ps)
         back = load_params(path)
-        assert back.version == 7
         assert back.names() == ps.names()
         for name in ps.names():
             assert np.array_equal(back[name], ps[name])
+
+    def test_header_with_old_version_field_loads(self, tmp_path):
+        ps = ParamSet({"a": np.array([1.5, -2.0])})
+        path = tmp_path / "ckpt.jsonl"
+        save_params(path, ps)
+        lines = path.read_text().splitlines()
+        assert "version" not in json.loads(lines[0])
+        lines[0] = json.dumps({"format": "edgesched-params", "version": 7, "count": 1})
+        path.write_text("\n".join(lines) + "\n")
+        back = load_params(path)
+        assert np.array_equal(back["a"], ps["a"])
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"
