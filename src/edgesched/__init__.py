@@ -75,7 +75,6 @@ from .harness import (
     emit_report,
     load_report,
     run_experiment,
-    write_transition_log,
 )
 from .nn import (
     Adam,

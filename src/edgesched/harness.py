@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsonl
 from .baselines import (
     BasePolicy,
     DecisionContext,
@@ -224,6 +225,10 @@ def _infer_format(path) -> str:
     return "jsonl" if text.endswith((".jsonl", ".json")) else "csv"
 
 
+# How load_report converts the report's provenance fields, in both formats.
+_META_FIELDS = {"policy": jsonl.text, "mode": jsonl.text, "seed": jsonl.integer}
+
+
 def load_report(path, fmt: str | None = None) -> MetricsReport:
     """Read a report back; it equals the report that was written.
 
@@ -234,91 +239,59 @@ def load_report(path, fmt: str | None = None) -> MetricsReport:
     windows: list[MetricsWindow] = []
     if fmt == "jsonl":
         meta = None
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(
-                        f"{path}: line {lineno}: invalid JSON: {exc}"
-                    ) from exc
-                if row.get("kind") == "meta":
-                    meta = row
-                elif row.get("kind") == "window":
-                    windows.append(_window_from(row, f"{path}: line {lineno}"))
-                else:
-                    raise ParseError(f"{path}: line {lineno}: unknown row kind")
+        for where, row in jsonl.rows(path):
+            if row.get("kind") == "meta":
+                meta = {k: f(where, row, k) for k, f in _META_FIELDS.items()}
+                meta["config"] = row.get("config", {})
+                if not isinstance(meta["config"], dict):
+                    raise ParseError(f"{where}: config: expected an object")
+            elif row.get("kind") == "window":
+                windows.append(_window_from(where, row))
+            else:
+                raise ParseError(f"{where}: unknown row kind")
         if meta is None:
             raise ParseError(f"{path}: missing meta row")
-        summaries = _summaries_from_windows(windows)
-        return MetricsReport(
-            policy=meta["policy"],
-            mode=meta["mode"],
-            seed=int(meta["seed"]),
-            config=dict(meta.get("config", {})),
-            windows=windows,
-            train=summaries["train"],
-            test=summaries["test"],
-        )
-    meta = {"policy": "", "mode": "", "seed": 0}
-    config: dict[str, str] = {}
-    rows: list[list[str]] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+    else:
+        meta = {"policy": "", "mode": "", "seed": 0, "config": {}}
+        header = None
+        for where, line in jsonl.lines(path):
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("config "):
-                    # Split the unstripped line: an empty value ends in " = ".
-                    key, _, value = line.rstrip("\n").partition(" = ")
-                    config[key.split(maxsplit=2)[2]] = value
+                    # Split the unstripped rest: an empty value ends in " = ".
+                    rest = line[1:].lstrip()[len("config ") :].rstrip("\n")
+                    key, _, value = rest.partition(" = ")
+                    meta["config"][key.strip()] = value
                 elif " = " in body:
-                    key, _, value = body.partition(" = ")
-                    meta[key.strip()] = value.strip()
+                    key, _, value = (part.strip() for part in body.partition(" = "))
+                    if key in _META_FIELDS:
+                        meta[key] = _META_FIELDS[key](where, {key: value}, key)
                 continue
-            if line.strip():
-                rows.append(next(csv.reader([line])))
-    if not rows or tuple(rows[0]) != _WINDOW_FIELDS:
-        raise ParseError(f"{path}: missing or malformed header row")
-    for row in rows[1:]:
-        if len(row) != len(_WINDOW_FIELDS):
-            raise ParseError(f"{path}: window row has {len(row)} fields")
-        windows.append(_window_from(dict(zip(_WINDOW_FIELDS, row)), path))
+            row = next(csv.reader([line]))
+            if header is None:
+                header = tuple(row)
+                if header != _WINDOW_FIELDS:
+                    raise ParseError(f"{where}: malformed header row")
+            elif len(row) != len(_WINDOW_FIELDS):
+                raise ParseError(f"{where}: window row has {len(row)} fields")
+            else:
+                windows.append(_window_from(where, dict(zip(_WINDOW_FIELDS, row))))
+        if header is None:
+            raise ParseError(f"{path}: missing header row")
     summaries = _summaries_from_windows(windows)
     return MetricsReport(
-        policy=str(meta["policy"]),
-        mode=str(meta["mode"]),
-        seed=int(meta["seed"]),
-        config=config,
-        windows=windows,
-        train=summaries["train"],
-        test=summaries["test"],
+        **meta, windows=windows, train=summaries["train"], test=summaries["test"]
     )
 
 
-def _window_from(row: dict, where: str) -> MetricsWindow:
-    try:
-        return MetricsWindow(
-            phase=str(row["phase"]),
-            index=int(row["index"]),
-            count=int(row["count"]),
-            mean_reward=float(row["mean_reward"]),
-            mean_satisfaction=float(row["mean_satisfaction"]),
-            mean_delay=float(row["mean_delay"]),
-            llm_direct_freq=float(row["llm_direct_freq"]),
-            reward_variance=float(row["reward_variance"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: bad window row: {exc}") from exc
-
-
-def write_transition_log(path, transitions: list[Transition]) -> int:
-    """Dump transitions as JSON lines of their fields; returns the row count."""
-    with open(path, "w") as fh:
-        for t in transitions:
-            fh.write(json.dumps(dataclasses.asdict(t)) + "\n")
-    return len(transitions)
+def _window_from(where: str, row: dict) -> MetricsWindow:
+    where = f"{where}: bad window row"
+    return MetricsWindow(
+        phase=jsonl.text(where, row, "phase"),
+        index=jsonl.integer(where, row, "index"),
+        count=jsonl.integer(where, row, "count"),
+        **{f: jsonl.number(where, row, f) for f in _WINDOW_FIELDS[3:]},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,97 @@
+"""Reading JSON-lines input files: one line reader and its field converters.
+
+Replay workloads, store snapshots, parameter checkpoints and JSON-lines
+reports are all read through :func:`rows`.  It yields each non-blank line as
+a JSON object together with ``where``, the ``"<path>: line N"`` that starts
+every error message about that line.  The converters turn one field of a
+row into the value a reader needs, or raise
+:class:`~edgesched.errors.ParseError` ``"<where>: <field>: <reason>"`` when
+the field is missing or has the wrong type or range.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from typing import Iterator
+
+import numpy as np
+
+from .errors import ParseError
+
+_INT_MAX = 2**63 - 1  # stores keep their integer fields in int64 arrays
+
+
+def lines(path) -> Iterator[tuple[str, str]]:
+    """``(where, line)`` for each non-blank line of a text file."""
+    with open(path) as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    yield f"{path}: line {lineno}", line
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not a text file: {exc}") from exc
+
+
+def rows(path) -> Iterator[tuple[str, dict]]:
+    """``(where, row)`` for each non-blank line; every row is a JSON object."""
+    for where, line in lines(path):
+        try:
+            row = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ParseError(f"{where}: invalid JSON: {exc}") from exc
+        if not isinstance(row, dict):
+            raise ParseError(f"{where}: expected a JSON object")
+        yield where, row
+
+
+def with_header(path, fmt: str, what: str) -> tuple[str, dict, Iterator]:
+    """The first row of ``path``, which must carry ``"format": fmt``, plus
+    an iterator over the remaining rows.  Raises "<where>: not a <what>"."""
+    it = rows(path)
+    where, header = next(it, (f"{path}: line 1", {}))
+    if header.get("format") != fmt:
+        raise ParseError(f"{where}: not a {what}")
+    return where, header, it
+
+
+def _field(where: str, row: dict, key: str, convert, valid, expected: str):
+    if key not in row:
+        raise ParseError(f"{where}: {key}: missing")
+    try:
+        value = convert(row[key])
+        ok = valid(value)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ParseError(f"{where}: {key}: expected {expected}")
+    return value
+
+
+def integer(where: str, row: dict, key: str, low: int = 0) -> int:
+    """Field ``key`` as an int in ``[low, 2**63)``."""
+    return _field(
+        where, row, key, int, lambda v: low <= v <= _INT_MAX,
+        f"an integer in [{low}, 2**63)",
+    )
+
+
+def number(where: str, row: dict, key: str) -> float:
+    """Field ``key`` as a finite float."""
+    return _field(where, row, key, float, math.isfinite, "a finite number")
+
+
+def vector(where: str, row: dict, key: str) -> np.ndarray:
+    """Field ``key`` as a 1-d float64 array of finite values."""
+    return _field(
+        where, row, key, lambda v: np.asarray(v, dtype=float),
+        lambda a: a.ndim == 1 and bool(np.isfinite(a).all()),
+        "a flat list of finite numbers",
+    )
+
+
+def text(where: str, row: dict, key: str) -> str:
+    """Field ``key``, which must be a string."""
+    return _field(
+        where, row, key, lambda v: v, lambda v: isinstance(v, str), "a string"
+    )

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .nn.models import EncoderConfig, FeatureEncoder, PolicyNet, ValueNet
-from .nn.params import Adam, ParamSet, accumulate_grads
+from .nn.params import Adam, ParamSet
 from .seeding import DOMAIN_PARAMS, DOMAIN_POLICY, DOMAIN_TRAINER, substream
 
 log = logging.getLogger(__name__)
@@ -302,6 +302,9 @@ class PpoLossResult:
     clip_fraction: float
 
 
+_LOSS_STATS = ("loss", "surrogate", "value_mse", "entropy", "clip_fraction")
+
+
 def ppo_loss(
     nets: NetBundle,
     policy_params: ParamSet,
@@ -361,7 +364,7 @@ def ppo_loss(
     if nets.encoder is not None:
         dfeats = dstate[:, batch.corr.shape[1] :]
         _, enc_grads = nets.encoder.backward(policy_params, enc_cache, dfeats)
-        pol_grads = accumulate_grads(pol_grads, enc_grads)
+        pol_grads.update(enc_grads)  # names are disjoint: enc.* and pi.*
 
     dv = cfg.value_coeff * 2.0 * v_err / B
     _, val_grads = nets.value.backward(value_params, v_cache, dv)
@@ -537,7 +540,7 @@ class Trainer:
         batch.advantages = (adv - adv.mean()) / (adv.std() + 1e-8)
 
         B = len(batch)
-        stats: list[PpoLossResult] = []
+        stats = []  # per minibatch: the _LOSS_STATS, not the gradients
         for epoch in range(cfg.epochs):
             rng = substream(self.seed, DOMAIN_TRAINER, update, 1 + epoch)
             order = rng.permutation(B)
@@ -552,7 +555,7 @@ class Trainer:
                 )
                 self.policy_opt.step(self.policy_params, result.policy_grads)
                 self.value_opt.step(self.value_params, result.value_grads)
-                stats.append(result)
+                stats.append([getattr(result, f) for f in _LOSS_STATS])
 
         self.updates_done += 1
         self.buffer.clear_pool()
@@ -561,11 +564,7 @@ class Trainer:
             batch_size=B,
             demo_count=demo_count,
             demo_quota=quota,
-            loss=float(np.mean([s.loss for s in stats])),
-            surrogate=float(np.mean([s.surrogate for s in stats])),
-            value_mse=float(np.mean([s.value_mse for s in stats])),
-            entropy=float(np.mean([s.entropy for s in stats])),
-            clip_fraction=float(np.mean([s.clip_fraction for s in stats])),
+            **{f: float(np.mean(col)) for f, col in zip(_LOSS_STATS, zip(*stats))},
         )
         self.history.append(out)
         return out

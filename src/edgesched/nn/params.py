@@ -12,6 +12,7 @@ import json
 
 import numpy as np
 
+from .. import jsonl
 from ..errors import GradientError, ParseError
 
 
@@ -47,18 +48,6 @@ class ParamSet:
     def flat(self) -> np.ndarray:
         """All entries concatenated in sorted-name order."""
         return np.concatenate([self.tensors[k].ravel() for k in self.names()])
-
-
-def accumulate_grads(
-    total: dict[str, np.ndarray], part: dict[str, np.ndarray]
-) -> dict[str, np.ndarray]:
-    """Add ``part`` into ``total`` in place (creating missing entries)."""
-    for k, g in part.items():
-        if k in total:
-            total[k] = total[k] + g
-        else:
-            total[k] = np.array(g, dtype=float)
-    return total
 
 
 class Adam:
@@ -140,26 +129,17 @@ def load_params(path) -> ParamSet:
     Header keys other than ``format`` and ``count`` are ignored, so files
     that still carry the old ``version`` field load too.
     """
-    with open(path) as fh:
+    _, header, body = jsonl.with_header(
+        path, _CHECKPOINT_FORMAT, "parameter checkpoint"
+    )
+    tensors = {}
+    for where, row in body:
+        name = jsonl.text(where, row, "name")
+        data = jsonl.vector(where, row, "data")
         try:
-            header = json.loads(fh.readline())
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: line 1: invalid JSON: {exc}") from exc
-        if not isinstance(header, dict) or header.get("format") != _CHECKPOINT_FORMAT:
-            raise ParseError(f"{path}: line 1: not a parameter checkpoint")
-        tensors = {}
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
-            try:
-                data = np.asarray(row["data"], dtype=float).reshape(row["shape"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"{path}: line {lineno}: bad tensor: {exc}") from exc
-            tensors[row["name"]] = data
+            tensors[name] = data.reshape(row["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{where}: bad tensor: {exc}") from exc
     if len(tensors) != header.get("count"):
         raise ParseError(
             f"{path}: header promises {header.get('count')} tensors, "

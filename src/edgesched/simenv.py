@@ -334,16 +334,12 @@ class EdgeEnv:
         r = reward(
             q, d, self.quality_weight, self.delay_weight, self.reward_scale
         )
-        # Store mutations: hit records update their running value; cloud
-        # answers are cached as a fresh pair seeded with this payoff.
-        if resolved == "A":
+        # Store mutations: the retrieved record (A, C) updates its running
+        # value; cloud answers (B, C) are cached as a fresh pair seeded with
+        # this payoff.
+        if resolved != "B":
             store.update_cache_value(entry.record, q, d)
-        elif resolved == "C":
-            store.update_cache_value(entry.record, q, d)
-            store.insert_qa(
-                request.question_vec, answer_vec, request.slot, clamp_negative(q - d)
-            )
-        else:
+        if resolved != "A":
             store.insert_qa(
                 request.question_vec, answer_vec, request.slot, clamp_negative(q - d)
             )

@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import jsonl
 from .errors import ConfigError, EmptyCorrelationError, ParseError
 from .seeding import DOMAIN_INDEX, substream
 
@@ -584,65 +585,45 @@ def read_snapshot(
     server: int = 0,
 ) -> VectorStore:
     """Restore a store from :func:`write_snapshot` output and rebuild its index."""
-    with open(path) as fh:
-        try:
-            header = json.loads(fh.readline())
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: line 1: invalid JSON: {exc}") from exc
-        if not isinstance(header, dict) or header.get("format") != _SNAPSHOT_FORMAT:
-            raise ParseError(f"{path}: line 1: not a store snapshot header")
-        store = VectorStore(
-            dim=int(header["dim"]),
-            nlist=nlist,
-            min_candidates=min_candidates,
-            rebuild_every=rebuild_every,
-            seed=seed,
-            server=server,
+    where, header, body = jsonl.with_header(
+        path, _SNAPSHOT_FORMAT, "store snapshot header"
+    )
+    dim = jsonl.integer(where, header, "dim", low=1)
+    next_rid = jsonl.integer(where, header, "next_rid")
+    next_pair = jsonl.integer(where, header, "next_pair")
+    records: list[VectorRecord] = []
+    for where, row in body:
+        vec = jsonl.vector(where, row, "vec")
+        if vec.shape != (dim,):
+            raise ParseError(f"{where}: vector dimension {vec.shape} != ({dim},)")
+        kind = jsonl.integer(where, row, "kind", low=1)
+        if kind >= len(_KINDS):
+            raise ParseError(f"{where}: kind: expected 1 or 2")
+        rec = VectorRecord(
+            rid=jsonl.integer(where, row, "rid"),
+            vec=vec,
+            kind=_KINDS[kind],
+            freq=jsonl.integer(where, row, "freq"),
+            cache_value=jsonl.number(where, row, "cache_value"),
+            inserted_at=jsonl.integer(where, row, "inserted_at"),
+            pair_id=jsonl.integer(where, row, "pair_id"),
         )
-        records: list[VectorRecord] = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
-            try:
-                vec = np.asarray(row["vec"], dtype=float)
-                rec = VectorRecord(
-                    rid=int(row["rid"]),
-                    vec=vec,
-                    kind=RecordKind(int(row["kind"])),
-                    freq=int(row["freq"]),
-                    cache_value=float(row["cache_value"]),
-                    inserted_at=int(row["inserted_at"]),
-                    pair_id=int(row["pair_id"]),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"{path}: line {lineno}: bad record: {exc}") from exc
-            if vec.shape != (store.dim,):
-                raise ParseError(
-                    f"{path}: line {lineno}: vector dimension {vec.shape} "
-                    f"!= ({store.dim},)"
-                )
-            if rec.cache_value >= 0.0:
-                raise ParseError(
-                    f"{path}: line {lineno}: cache_value must be negative"
-                )
-            records.append(rec)
-    store._next_rid = int(header["next_rid"])
-    store._next_pair = int(header["next_pair"])
+        if rec.cache_value >= 0.0:
+            raise ParseError(f"{where}: cache_value must be negative")
+        records.append(rec)
     records.sort(key=lambda r: r.rid)
     halves = {(r.pair_id, r.kind) for r in records}
     if len({r.rid for r in records}) < len(records) or len(halves) < len(records):
         raise ParseError(f"{path}: duplicate record id or pair half")
     if records and (
-        records[-1].rid >= store._next_rid
-        or max(r.pair_id for r in records) >= store._next_pair
+        records[-1].rid >= next_rid or max(r.pair_id for r in records) >= next_pair
     ):
         raise ParseError(f"{path}: record or pair id not below next_rid/next_pair")
     if any(a.pair_id > b.pair_id for a, b in zip(records, records[1:])):
         raise ParseError(f"{path}: pair ids decrease with record id")
+    store = VectorStore(dim, nlist, min_candidates, rebuild_every, seed, server)
+    store._next_rid = next_rid
+    store._next_pair = next_pair
     for rec in records:
         store._append(
             rec.rid, rec.vec, rec.kind, rec.freq, rec.cache_value,

@@ -21,6 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import jsonl
 from .errors import ConfigError, ParseError
 from .seeding import DOMAIN_TOPICS, DOMAIN_WORKLOAD, substream
 
@@ -134,7 +135,6 @@ class _ServerSampler:
         self._topics = topics
         self._fresh = list(topic_pool)
         self._issued: list[int] = []  # distinct topics, in first-issue order
-        self._issued_set: set[int] = set()
         self._repeat_ratio = repeat_ratio
         self._sigma = paraphrase_sigma
         self._rng = rng
@@ -152,7 +152,6 @@ class _ServerSampler:
             return topic, True
         topic = self._fresh.pop(int(rng.integers(len(self._fresh))))
         self._issued.append(topic)
-        self._issued_set.add(topic)
         return topic, False
 
     def question_for(self, topic: int, is_repeat: bool) -> np.ndarray:
@@ -258,68 +257,44 @@ def save_workload(path, requests: Sequence[Request]) -> int:
     return count
 
 
-_REQUIRED_FIELDS = ("id", "user", "server", "slot", "question_vec", "reference_vec")
-
-
 def load_workload(path, dim: int | None = None) -> list[Request]:
     """Parse a JSON-lines workload file into requests, sorted by slot.
 
     Vectors whose norm drifts from 1 by more than 1e-6 are renormalized with
-    a warning; malformed lines raise :class:`ParseError` naming the line.
+    a warning; malformed lines raise :class:`ParseError` naming the line, and
+    vectors of the wrong length a :class:`ConfigError`.
     """
     out: list[Request] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(row, dict):
-                raise ParseError(f"{path}: line {lineno}: expected an object")
-            missing = [f for f in _REQUIRED_FIELDS if f not in row]
-            if missing:
-                raise ParseError(
-                    f"{path}: line {lineno}: missing fields {', '.join(missing)}"
+    for where, row in jsonl.rows(path):
+        vecs = {}
+        for name in ("question_vec", "reference_vec"):
+            vec = jsonl.vector(where, row, name)
+            if dim is not None and vec.shape[0] != dim:
+                raise ConfigError(
+                    f"{where}: {name} has dimension {vec.shape[0]}, expected {dim}"
                 )
-            vecs = {}
-            for name in ("question_vec", "reference_vec"):
-                try:
-                    vec = np.asarray(row[name], dtype=float)
-                except (TypeError, ValueError) as exc:
-                    raise ParseError(
-                        f"{path}: line {lineno}: {name} is not numeric"
-                    ) from exc
-                if vec.ndim != 1:
-                    raise ParseError(
-                        f"{path}: line {lineno}: {name} must be a flat list"
-                    )
-                if dim is not None and vec.shape[0] != dim:
-                    raise ConfigError(
-                        f"{path}: line {lineno}: {name} has dimension "
-                        f"{vec.shape[0]}, expected {dim}"
-                    )
+            with np.errstate(over="ignore"):  # an overflowing norm is rejected below
                 norm = float(np.linalg.norm(vec))
-                if norm == 0.0:
-                    raise ParseError(f"{path}: line {lineno}: {name} is a zero vector")
-                if abs(norm - 1.0) > _NORM_TOL:
-                    warnings.warn(
-                        f"{path}: line {lineno}: {name} norm {norm:.6g} != 1; "
-                        "renormalizing"
-                    )
-                    vec = vec / norm
-                vecs[name] = vec
-            out.append(
-                Request(
-                    id=int(row["id"]),
-                    user=int(row["user"]),
-                    server=int(row["server"]),
-                    slot=int(row["slot"]),
-                    question_vec=vecs["question_vec"],
-                    reference_vec=vecs["reference_vec"],
-                    topic=int(row.get("topic", -1)),
-                )
+            if norm == 0.0:
+                raise ParseError(f"{where}: {name} is a zero vector")
+            if norm == np.inf:
+                raise ParseError(f"{where}: {name} norm overflows")
+            if abs(norm - 1.0) > _NORM_TOL:
+                warnings.warn(f"{where}: {name} norm {norm:.6g} != 1; renormalizing")
+                vec = vec / norm
+            vecs[name] = vec
+        out.append(
+            Request(
+                id=jsonl.integer(where, row, "id"),
+                user=jsonl.integer(where, row, "user"),
+                server=jsonl.integer(where, row, "server"),
+                slot=jsonl.integer(where, row, "slot"),
+                question_vec=vecs["question_vec"],
+                reference_vec=vecs["reference_vec"],
+                topic=(
+                    jsonl.integer(where, row, "topic", low=-1) if "topic" in row else -1
+                ),
             )
+        )
     out.sort(key=lambda r: r.slot)  # stable: preserves within-slot file order
     return out

@@ -32,7 +32,6 @@ from edgesched.harness import (
     load_report,
     run_experiment,
     run_invariant_checks,
-    write_transition_log,
 )
 from edgesched.simenv import Transition
 from edgesched.workload import WorkloadGenerator, generate_topics, load_workload, save_workload
@@ -479,21 +478,6 @@ class TestReportFiles:
             load_report(path)
 
 
-class TestTransitionLog:
-    def test_rows_and_fields(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        ts = [make_t(rid=i, r=-float(i)) for i in range(4)]
-        assert write_transition_log(path, ts) == 4
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        assert len(rows) == 4
-        assert rows[2]["request_id"] == 2
-        assert rows[2]["r"] == -2.0
-        assert set(rows[0]) == {
-            "slot", "server", "user", "request_id", "action", "resolved",
-            "action_prob", "q", "d", "r", "fallback", "topic",
-        }
-
-
 class TestRunExperiment:
     def test_report_shape_random(self):
         cfg = tiny_cfg()
@@ -794,6 +778,26 @@ class TestCli:
         p = self.write_cfg(tmp_path, text)
         assert cli_main(["--config", str(p), *argv]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_bad_replay_row_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        p = self.write_cfg(tmp_path)
+        wl = tmp_path / "wl.jsonl"
+        assert cli_main(["--config", str(p), "--export-workload", str(wl)]) == 0
+        lines = wl.read_text().splitlines()
+        lines[-1] = json.dumps({**json.loads(lines[-1]), "id": -1})
+        wl.write_text("\n".join(lines) + "\n")
+
+        def slot_loop(*args, **kwargs):
+            raise AssertionError("slot loop entered before the replay file was checked")
+
+        monkeypatch.setattr(harness._Deployment, "play", slot_loop)
+        text = CLI_INI.replace("topics = 40", f"topics = 40\nworkload_file = {wl}")
+        replay = self.write_cfg(tmp_path, text)
+        capsys.readouterr()
+        assert cli_main(["--config", str(replay)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{wl}: line {len(lines)}: id:" in err
 
     def test_percent_in_config_value(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -26,7 +26,6 @@ from edgesched.nn.layers import (
     softmax,
     softmax_backward,
 )
-from edgesched.nn.params import accumulate_grads
 
 GRAD_TOL = 1e-7  # float64 central differences are far tighter than this
 
@@ -268,12 +267,6 @@ class TestParamSet:
         cp = ps.copy()
         cp.tensors["a"][0] = 9.0
         assert ps["a"][0] == 1.0
-
-    def test_accumulate_grads(self):
-        total = {"a": np.array([1.0])}
-        accumulate_grads(total, {"a": np.array([2.0]), "b": np.array([5.0])})
-        assert total["a"][0] == 3.0
-        assert total["b"][0] == 5.0
 
 
 def reference_adam(params, grads_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8):
