@@ -1,20 +1,22 @@
 """Experiment configuration: defaults, INI loading, and validation.
 
 Config files use INI sections ([experiment], [workload], [store], [env],
-[trainer], [encoder]); every option must name a known field and parse to the
-field's type, otherwise loading fails with a :class:`ConfigError` pointing
-at the offending entry.  Values are taken literally: ``%`` is an ordinary
-character, not an interpolation marker.
+[trainer], [encoder]); each field of :class:`ExperimentConfig` belongs to
+exactly one of them, the section its declaration falls under.  Every option
+must name a field of its section and parse to the field's type, otherwise
+loading fails with a :class:`ConfigError` pointing at the offending entry.
+Values are taken literally: ``%`` is an ordinary character, not an
+interpolation marker.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
-import os
 import re
 from dataclasses import dataclass
 
+from .baselines import ABLATIONS
 from .errors import ConfigError
 from .nn.models import EncoderConfig
 from .marl import TrainerConfig
@@ -22,12 +24,7 @@ from .simenv import AnswerModel, DelayModel
 
 MODES = ("nearest", "broadcast")
 
-# Interface names for the learned variants:
-#   mappo    - raw observations, no demonstrations
-#   g-mappo  - raw observations plus demonstrations
-#   t-mappo  - encoded observations, no demonstrations
-#   lrs      - encoded observations plus demonstrations (the full scheduler)
-LEARNED_POLICIES = ("mappo", "g-mappo", "t-mappo", "lrs")
+LEARNED_POLICIES = tuple(ABLATIONS)
 
 _GREEDY_RE = re.compile(r"^greedy-(\d+(?:\.\d+)?)$")
 
@@ -56,6 +53,12 @@ def policy_kind(name: str) -> tuple[str, float | None]:
     )
 
 
+def _section(name: str, default):
+    """Default of the first field of INI section ``[name]``; the fields
+    declared after it belong to that section up to the next marker."""
+    return dataclasses.field(default=default, metadata={"section": name})
+
+
 @dataclass
 class ExperimentConfig:
     """Everything one experiment run depends on.
@@ -64,8 +67,7 @@ class ExperimentConfig:
     issues one request to every server.
     """
 
-    # [experiment]
-    seed: int = 0
+    seed: int = _section("experiment", 0)
     policy: str = "lrs"
     mode: str = "nearest"
     servers: int = 3
@@ -76,20 +78,17 @@ class ExperimentConfig:
     window_size: int = 300
     transitions_out: str | None = None
 
-    # [workload]
-    topics: int = 3000
+    topics: int = _section("workload", 3000)
     repeat_ratio: float = 0.4
     paraphrase_sigma: float = 0.05
     workload_file: str | None = None
 
-    # [store]
-    nlist: int = 128
+    nlist: int = _section("store", 128)
     min_candidates: int = 10
     rebuild_every: int = 1000
     query_width: int = 5
 
-    # [env]
-    quality_weight: float = 1.0
+    quality_weight: float = _section("env", 1.0)
     delay_weight: float = 0.1
     reward_scale: float = 10.0
     filter_value_weight: float = 1.0
@@ -104,8 +103,7 @@ class ExperimentConfig:
     sigma_mislead: float = 0.10
     relevance_radius: float = 0.5
 
-    # [trainer]
-    gamma: float = 0.99
+    gamma: float = _section("trainer", 0.99)
     gae_lambda: float = 0.95
     clip_epsilon: float = 0.2
     value_coeff: float = 0.5
@@ -118,8 +116,7 @@ class ExperimentConfig:
     minibatch_size: int = 64
     demo_slots: int = 400
 
-    # [encoder]
-    num_patches: int = 8
+    num_patches: int = _section("encoder", 8)
     num_blocks: int = 2
     num_heads: int = 4
     model_dim: int = 64
@@ -129,6 +126,8 @@ class ExperimentConfig:
     # ------------------------------------------------------------------
 
     def validate(self) -> "ExperimentConfig":
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.servers < 1:
             raise ConfigError(f"servers must be >= 1, got {self.servers}")
         if self.users < self.servers:
@@ -149,21 +148,16 @@ class ExperimentConfig:
             raise ConfigError(
                 f"topics ({self.topics}) must cover every server ({self.servers})"
             )
-        kind, _ = policy_kind(self.policy)  # raises on unknown names
-        if kind == "learned" and self.demo_slots < 1:
-            from .baselines import ablation_spec
-
-            if ablation_spec(self.policy).use_demos:
-                raise ConfigError("demo_slots must be >= 1 for demo-using policies")
+        policy_kind(self.policy)  # raises on unknown names
+        variant = ABLATIONS.get(self.policy)  # None for the heuristics
+        if variant and variant.use_demos and self.demo_slots < 1:
+            raise ConfigError("demo_slots must be >= 1 for demo-using policies")
         # Constructing the model objects runs their own validation.
         self.delay_model()
         self.answer_model()
         self.trainer_config()
-        if kind == "learned":
-            from .baselines import ablation_spec
-
-            if ablation_spec(self.policy).use_encoder:
-                self.encoder_config()
+        if variant and variant.use_encoder:
+            self.encoder_config()
         return self
 
     # -- sub-configs -------------------------------------------------------
@@ -175,39 +169,19 @@ class ExperimentConfig:
             jitter_sigma=self.jitter_sigma,
         )
 
+    def _shared(self, cls, **explicit):
+        """A ``cls`` built from the fields it shares by name with this config."""
+        names = [f.name for f in dataclasses.fields(cls) if f.name in _FIELD_TYPES]
+        return cls(**{name: getattr(self, name) for name in names}, **explicit)
+
     def answer_model(self) -> AnswerModel:
-        return AnswerModel(
-            sigma_llm=self.sigma_llm,
-            sigma_enhance=self.sigma_enhance,
-            sigma_mislead=self.sigma_mislead,
-            relevance_radius=self.relevance_radius,
-        )
+        return self._shared(AnswerModel)
 
     def trainer_config(self) -> TrainerConfig:
-        return TrainerConfig(
-            gamma=self.gamma,
-            gae_lambda=self.gae_lambda,
-            clip_epsilon=self.clip_epsilon,
-            value_coeff=self.value_coeff,
-            entropy_coeff=self.entropy_coeff,
-            lr_policy=self.lr_policy,
-            lr_value=self.lr_value,
-            min_agent_batch=self.min_agent_batch,
-            min_demo_quota=self.min_demo_quota,
-            epochs=self.epochs,
-            minibatch_size=self.minibatch_size,
-        )
+        return self._shared(TrainerConfig)
 
     def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            input_dim=self.dim,
-            num_patches=self.num_patches,
-            num_blocks=self.num_blocks,
-            num_heads=self.num_heads,
-            model_dim=self.model_dim,
-            feature_dim=self.feature_dim,
-            use_positional=self.use_positional,
-        )
+        return self._shared(EncoderConfig, input_dim=self.dim)
 
     def flat_dict(self) -> dict[str, str]:
         """Stable string form of every field, for report echoing."""
@@ -219,63 +193,19 @@ class ExperimentConfig:
         return out
 
 
-_SECTIONS: dict[str, tuple[str, ...]] = {
-    "experiment": (
-        "seed",
-        "policy",
-        "mode",
-        "servers",
-        "users",
-        "dim",
-        "train_slots",
-        "test_slots",
-        "window_size",
-        "transitions_out",
-    ),
-    "workload": ("topics", "repeat_ratio", "paraphrase_sigma", "workload_file"),
-    "store": ("nlist", "min_candidates", "rebuild_every", "query_width"),
-    "env": (
-        "quality_weight",
-        "delay_weight",
-        "reward_scale",
-        "filter_value_weight",
-        "filter_freq_weight",
-        "tau_serve",
-        "evict_period",
-        "edge_delay",
-        "cloud_delay",
-        "jitter_sigma",
-        "sigma_llm",
-        "sigma_enhance",
-        "sigma_mislead",
-        "relevance_radius",
-    ),
-    "trainer": (
-        "gamma",
-        "gae_lambda",
-        "clip_epsilon",
-        "value_coeff",
-        "entropy_coeff",
-        "lr_policy",
-        "lr_value",
-        "min_agent_batch",
-        "min_demo_quota",
-        "epochs",
-        "minibatch_size",
-        "demo_slots",
-    ),
-    "encoder": (
-        "num_patches",
-        "num_blocks",
-        "num_heads",
-        "model_dim",
-        "feature_dim",
-        "use_positional",
-    ),
-}
+def _sections() -> dict[str, tuple[str, ...]]:
+    """Field names per INI section, in declaration order."""
+    sections: dict[str, tuple[str, ...]] = {}
+    section = None
+    for f in dataclasses.fields(ExperimentConfig):
+        section = f.metadata.get("section", section)
+        sections[section] = sections.get(section, ()) + (f.name,)
+    return sections
 
+
+_SECTIONS = _sections()
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
-_OPTIONAL_STR = {"workload_file", "transitions_out"}
+_OPTIONAL_STR = {name for name, ftype in _FIELD_TYPES.items() if ftype == "str | None"}
 
 
 def _convert(section: str, option: str, raw: str):
@@ -301,14 +231,16 @@ def _convert(section: str, option: str, raw: str):
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read an INI config file into an :class:`ExperimentConfig`."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
+    """Read a UTF-8 INI config file into an :class:`ExperimentConfig`."""
     parser = configparser.ConfigParser(
         inline_comment_prefixes=("#", ";"), interpolation=None
     )
     try:
-        parser.read(path)
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"{path}: cannot read config file: {reason}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     cfg = ExperimentConfig()

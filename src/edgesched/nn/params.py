@@ -136,10 +136,16 @@ def load_params(path) -> ParamSet:
     for where, row in body:
         name = jsonl.text(where, row, "name")
         data = jsonl.vector(where, row, "data")
+        shape = row.get("shape")
         try:
-            tensors[name] = data.reshape(row["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: bad tensor: {exc}") from exc
+            if not isinstance(shape, list) or any(type(n) is not int or n < 0 for n in shape):
+                raise ValueError
+            tensors[name] = data.reshape(shape)  # numpy checks the product
+        except ValueError:
+            raise ParseError(
+                f"{where}: shape: expected a list of integers >= 0 "
+                f"with product {data.size}"
+            ) from None
     if len(tensors) != header.get("count"):
         raise ParseError(
             f"{path}: header promises {header.get('count')} tensors, "

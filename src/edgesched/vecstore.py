@@ -585,12 +585,12 @@ def read_snapshot(
     server: int = 0,
 ) -> VectorStore:
     """Restore a store from :func:`write_snapshot` output and rebuild its index."""
-    where, header, body = jsonl.with_header(
+    head, header, body = jsonl.with_header(
         path, _SNAPSHOT_FORMAT, "store snapshot header"
     )
-    dim = jsonl.integer(where, header, "dim", low=1)
-    next_rid = jsonl.integer(where, header, "next_rid")
-    next_pair = jsonl.integer(where, header, "next_pair")
+    dim = jsonl.integer(head, header, "dim", low=1)
+    next_rid = jsonl.integer(head, header, "next_rid")
+    next_pair = jsonl.integer(head, header, "next_pair")
     records: list[VectorRecord] = []
     for where, row in body:
         vec = jsonl.vector(where, row, "vec")
@@ -621,7 +621,12 @@ def read_snapshot(
         raise ParseError(f"{path}: record or pair id not below next_rid/next_pair")
     if any(a.pair_id > b.pair_id for a, b in zip(records, records[1:])):
         raise ParseError(f"{path}: pair ids decrease with record id")
-    store = VectorStore(dim, nlist, min_candidates, rebuild_every, seed, server)
+    try:
+        store = VectorStore(dim, nlist, min_candidates, rebuild_every, seed, server)
+    except ConfigError:
+        raise  # the caller's index settings, not the file
+    except (ValueError, MemoryError) as exc:  # numpy cannot hold a dim-wide row
+        raise ParseError(f"{head}: dim: {exc}") from exc
     store._next_rid = next_rid
     store._next_pair = next_pair
     for rec in records:

@@ -132,6 +132,7 @@ class TestConfigValidation:
             ("repeat_ratio", 1.5),
             ("topics", 1),
             ("policy", "nope"),
+            ("seed", -1),
         ],
     )
     def test_bad_fields_raise(self, field, value):
@@ -152,6 +153,42 @@ class TestConfigValidation:
             model_dim=8,
             feature_dim=4,
         ).validate()
+
+    def test_sub_configs_receive_every_setting(self):
+        # Distinct, valid, non-default values, so a setting that reaches the
+        # wrong counterpart, or none, shows.
+        trainer = dict(
+            gamma=0.9, gae_lambda=0.8, clip_epsilon=0.3, value_coeff=0.7,
+            entropy_coeff=0.02, lr_policy=2e-4, lr_value=5e-4, min_agent_batch=32,
+            min_demo_quota=6, epochs=5, minibatch_size=48,
+        )
+        encoder = dict(
+            num_patches=4, num_blocks=3, num_heads=2, model_dim=12, feature_dim=10,
+            use_positional=False,
+        )
+        answer = dict(
+            sigma_llm=0.25, sigma_enhance=0.04, sigma_mislead=0.2, relevance_radius=0.6
+        )
+        delay = dict(edge_delay=0.65, cloud_delay=2.9, jitter_sigma=0.08)
+        settings = {**trainer, **encoder, **answer, **delay, "dim": 40}
+        defaults = ExperimentConfig()
+        assert all(getattr(defaults, k) != v for k, v in settings.items())
+        assert len({repr(v) for v in settings.values()}) == len(settings)
+        cfg = ExperimentConfig(**settings).validate()
+        renamed = dict(edge_query=0.65, cloud_llm=2.9, jitter_sigma=0.08)
+        for sub, expected in [
+            (cfg.trainer_config(), trainer),
+            (cfg.encoder_config(), {**encoder, "input_dim": 40}),
+            (cfg.answer_model(), answer),
+            (cfg.delay_model(), renamed),
+        ]:
+            assert {k: getattr(sub, k) for k in expected} == expected
+            unfed = {f.name for f in dataclasses.fields(sub)} - set(expected)
+            assert unfed <= {"policy_hidden", "value_hidden"}
+
+    def test_shipped_demo_config_validates(self):
+        cfg = load_config(Path(__file__).parents[1] / "demos" / "small.ini").validate()
+        assert (cfg.policy, cfg.dim, cfg.train_slots) == ("greedy-0.3", 32, 300)
 
     def test_flat_dict_covers_every_field(self):
         cfg = tiny_cfg()
@@ -229,6 +266,16 @@ use_positional = no
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.ini")
+
+    def test_directory_is_not_a_config(self, tmp_path):
+        with pytest.raises(ConfigError, match=re.escape(f"{tmp_path}: cannot read")):
+            load_config(tmp_path)
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_bytes(b"[experiment]\nseed = 1\xff\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: cannot read")):
+            load_config(path)
 
     @given(st.data())
     def test_flat_dict_round_trips_through_ini(self, data):
@@ -798,6 +845,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert f"{wl}: line {len(lines)}: id:" in err
+
+    @pytest.mark.parametrize("fault", ["directory", "non-utf8", "seed-flag", "seed-ini"])
+    def test_bad_config_exits_2_before_the_run(self, tmp_path, capsys, monkeypatch, fault):
+        def slot_loop(*args, **kwargs):
+            raise AssertionError("slot loop entered with a bad config")
+
+        monkeypatch.setattr(harness._Deployment, "play", slot_loop)
+        argv = ["--config", str(self.write_cfg(tmp_path))]
+        if fault == "directory":
+            argv = ["--config", str(tmp_path)]
+        elif fault == "non-utf8":
+            (tmp_path / "exp.ini").write_bytes(CLI_INI.encode() + b"# \xff\n")
+        elif fault == "seed-flag":
+            argv += ["--seed", "-1"]
+        else:
+            self.write_cfg(tmp_path, CLI_INI.replace("seed = 3", "seed = -1"))
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_percent_in_config_value(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -216,6 +216,11 @@ def set_item(key, i, value):
         ("checkpoint", 3, set_field("name", 5), "name: expected a string"),
         ("checkpoint", 2, set_item("data", 0, math.nan), "data: expected"),
         ("checkpoint", 3, set_item("data", 4, math.inf), "data: expected"),
+        ("checkpoint", 3, drop_field("shape"), "shape: expected"),
+        ("checkpoint", 3, set_field("shape", None), "shape: expected"),
+        ("checkpoint", 3, set_field("shape", [-3]), "shape: expected"),
+        ("checkpoint", 3, set_field("shape", [2, -1]), "shape: expected"),
+        ("checkpoint", 3, set_field("shape", [3, 3]), "shape: expected"),
         ("report-jsonl", 2, lambda row: [1, 2], "expected a JSON object"),
         ("report-jsonl", 1, drop_field("policy"), "policy: missing"),
         ("report-jsonl", 1, set_field("config", "x"), "config: expected an object"),
@@ -245,6 +250,16 @@ def test_csv_report_bad_seed_names_line(tmp_path):
     path.write_text(text.replace("# seed = 42", "# seed = x"))
     with pytest.raises(ParseError, match=re.escape(f"{path}: line 4: seed: expected")):
         load_report(path)
+
+
+def test_empty_snapshot_too_wide_for_numpy_names_dim(tmp_path):
+    # numpy rejects a (16, 2**62) float64 matrix before allocating anything.
+    path = tmp_path / "s.jsonl"
+    write_store(path)
+    header = json.loads(path.read_text().splitlines()[0])
+    path.write_text(json.dumps({**header, "dim": 2**62}) + "\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}: line 1: dim: ")):
+        read_snapshot(path)
 
 
 # -- property: one mutated line never escapes as another exception ------------
