@@ -36,7 +36,6 @@ from .simenv import (
     AnswerModel,
     DelayModel,
     EdgeEnv,
-    SubAction,
     Transition,
     qos_cost,
     reward,

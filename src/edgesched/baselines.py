@@ -28,7 +28,6 @@ class DecisionContext:
     corr_features: np.ndarray  # flattened network-style correlation features
     question_vec: np.ndarray
     server: int
-    slot: int
     # Builds the per-decision stream, keyed by (request, server); only
     # policies that draw call it.
     make_rng: Callable[[], np.random.Generator]

@@ -152,16 +152,8 @@ class MetricsReport:
 # ---------------------------------------------------------------------------
 # report files
 
-_WINDOW_FIELDS = (
-    "phase",
-    "index",
-    "count",
-    "mean_reward",
-    "mean_satisfaction",
-    "mean_delay",
-    "llm_direct_freq",
-    "reward_variance",
-)
+_WINDOW_FIELDS = tuple(f.name for f in dataclasses.fields(MetricsWindow))
+_SUMMARY_MEANS = [f.name for f in dataclasses.fields(PhaseSummary)[2:]]
 
 
 def _summaries_from_windows(windows: list[MetricsWindow]) -> dict[str, PhaseSummary]:
@@ -175,17 +167,10 @@ def _summaries_from_windows(windows: list[MetricsWindow]) -> dict[str, PhaseSumm
     for phase in ("train", "test"):
         ws = [w for w in windows if w.phase == phase]
         n = sum(w.count for w in ws)
-        if n == 0:
-            out[phase] = PhaseSummary(phase, 0, 0.0, 0.0, 0.0, 0.0)
-            continue
-        out[phase] = PhaseSummary(
-            phase=phase,
-            requests=n,
-            mean_reward=sum(w.mean_reward * w.count for w in ws) / n,
-            mean_satisfaction=sum(w.mean_satisfaction * w.count for w in ws) / n,
-            mean_delay=sum(w.mean_delay * w.count for w in ws) / n,
-            llm_direct_freq=sum(w.llm_direct_freq * w.count for w in ws) / n,
-        )
+        means = [
+            sum(getattr(w, f) * w.count for w in ws) / max(n, 1) for f in _SUMMARY_MEANS
+        ]
+        out[phase] = PhaseSummary(phase, n, *means)
     return out
 
 
@@ -203,8 +188,7 @@ def emit_report(report: MetricsReport, path, fmt: str | None = None) -> None:
             }
             fh.write(json.dumps(meta) + "\n")
             for w in report.windows:
-                row = {"kind": "window"}
-                row.update({f: getattr(w, f) for f in _WINDOW_FIELDS})
+                row = {"kind": "window", **dataclasses.asdict(w)}
                 fh.write(json.dumps(row) + "\n")
         return
     with open(path, "w", newline="") as fh:
@@ -227,6 +211,7 @@ def _infer_format(path) -> str:
 
 # How load_report converts the report's provenance fields, in both formats.
 _META_FIELDS = {"policy": jsonl.text, "mode": jsonl.text, "seed": jsonl.integer}
+_TEXT_FIELDS = ("policy", "mode", "phase")
 
 
 def load_report(path, fmt: str | None = None) -> MetricsReport:
@@ -265,7 +250,7 @@ def load_report(path, fmt: str | None = None) -> MetricsReport:
                 elif " = " in body:
                     key, _, value = (part.strip() for part in body.partition(" = "))
                     if key in _META_FIELDS:
-                        meta[key] = _META_FIELDS[key](where, {key: value}, key)
+                        meta[key] = _META_FIELDS[key](where, _cells({key: value}), key)
                 continue
             row = next(csv.reader([line]))
             if header is None:
@@ -275,13 +260,24 @@ def load_report(path, fmt: str | None = None) -> MetricsReport:
             elif len(row) != len(_WINDOW_FIELDS):
                 raise ParseError(f"{where}: window row has {len(row)} fields")
             else:
-                windows.append(_window_from(where, dict(zip(_WINDOW_FIELDS, row))))
+                windows.append(_window_from(where, _cells(zip(_WINDOW_FIELDS, row))))
         if header is None:
             raise ParseError(f"{path}: missing header row")
     summaries = _summaries_from_windows(windows)
     return MetricsReport(
         **meta, windows=windows, train=summaries["train"], test=summaries["test"]
     )
+
+
+def _cells(pairs) -> dict:
+    """A CSV report's ``(field, text)`` cells as a JSON-lines row: the cell
+    of a numeric field becomes the JSON value it spells, if it spells one."""
+    row = dict(pairs)
+    for key, cell in row.items():
+        if key not in _TEXT_FIELDS:
+            with contextlib.suppress(ValueError, RecursionError):
+                row[key] = json.loads(cell)
+    return row
 
 
 def _window_from(where: str, row: dict) -> MetricsWindow:
@@ -456,7 +452,6 @@ class _Deployment:
                             corr_features=corr_features,
                             question_vec=req.question_vec,
                             server=n,
-                            slot=slot,
                             make_rng=functools.partial(
                                 substream, env.seed, DOMAIN_POLICY, req.id, n
                             ),

@@ -6,7 +6,8 @@ a JSON object together with ``where``, the ``"<path>: line N"`` that starts
 every error message about that line.  The converters turn one field of a
 row into the value a reader needs, or raise
 :class:`~edgesched.errors.ParseError` ``"<where>: <field>: <reason>"`` when
-the field is missing or has the wrong type or range.
+the field is missing or has the wrong type or range.  Numeric fields take
+JSON numbers only: no strings, no booleans, and no fraction in an integer.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from .errors import ParseError
 
 _INT_MAX = 2**63 - 1  # stores keep their integer fields in int64 arrays
+_NUMBER = (int, float)  # json.loads's number types; a bool is not one
 
 
 def lines(path) -> Iterator[tuple[str, str]]:
@@ -68,24 +70,41 @@ def _field(where: str, row: dict, key: str, convert, valid, expected: str):
     return value
 
 
+def _real(value) -> float:
+    if type(value) not in _NUMBER:
+        raise TypeError
+    return float(value)
+
+
+def _whole(value) -> int:
+    if not _real(value).is_integer():
+        raise ValueError
+    return int(value)
+
+
+def _reals(value) -> np.ndarray:
+    if type(value) is not list or any(type(x) not in _NUMBER for x in value):
+        raise TypeError
+    return np.asarray(value, dtype=float)
+
+
 def integer(where: str, row: dict, key: str, low: int = 0) -> int:
-    """Field ``key`` as an int in ``[low, 2**63)``."""
+    """Field ``key``, a number without a fraction, as an int in ``[low, 2**63)``."""
     return _field(
-        where, row, key, int, lambda v: low <= v <= _INT_MAX,
+        where, row, key, _whole, lambda v: low <= v <= _INT_MAX,
         f"an integer in [{low}, 2**63)",
     )
 
 
 def number(where: str, row: dict, key: str) -> float:
-    """Field ``key`` as a finite float."""
-    return _field(where, row, key, float, math.isfinite, "a finite number")
+    """Field ``key``, a number, as a finite float."""
+    return _field(where, row, key, _real, math.isfinite, "a finite number")
 
 
 def vector(where: str, row: dict, key: str) -> np.ndarray:
-    """Field ``key`` as a 1-d float64 array of finite values."""
+    """Field ``key``, a list of numbers, as a 1-d float64 array of finite values."""
     return _field(
-        where, row, key, lambda v: np.asarray(v, dtype=float),
-        lambda a: a.ndim == 1 and bool(np.isfinite(a).all()),
+        where, row, key, _reals, lambda a: bool(np.isfinite(a).all()),
         "a flat list of finite numbers",
     )
 

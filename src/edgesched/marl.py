@@ -14,7 +14,7 @@ own experience alone.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -266,28 +266,15 @@ class PpoBatch:
         return self.actions.shape[0]
 
     def take(self, idx: np.ndarray) -> "PpoBatch":
-        return PpoBatch(
-            corr=self.corr[idx],
-            question=self.question[idx],
-            actions=self.actions[idx],
-            old_probs=self.old_probs[idx],
-            advantages=self.advantages[idx],
-            returns=self.returns[idx],
-            global_corr=self.global_corr[idx],
-            global_question=self.global_question[idx],
-        )
+        return PpoBatch(**{f.name: getattr(self, f.name)[idx] for f in fields(self)})
 
     @staticmethod
     def concat(parts: list["PpoBatch"]) -> "PpoBatch":
         return PpoBatch(
-            corr=np.concatenate([p.corr for p in parts]),
-            question=np.concatenate([p.question for p in parts]),
-            actions=np.concatenate([p.actions for p in parts]),
-            old_probs=np.concatenate([p.old_probs for p in parts]),
-            advantages=np.concatenate([p.advantages for p in parts]),
-            returns=np.concatenate([p.returns for p in parts]),
-            global_corr=np.concatenate([p.global_corr for p in parts]),
-            global_question=np.concatenate([p.global_question for p in parts]),
+            **{
+                f.name: np.concatenate([getattr(p, f.name) for p in parts])
+                for f in fields(PpoBatch)
+            }
         )
 
 
@@ -426,8 +413,6 @@ class Trainer:
             raise ConfigError(f"n_agents must be >= 1, got {n_agents}")
         self.cfg = cfg or TrainerConfig()
         self.n_agents = n_agents
-        self.corr_dim = corr_dim
-        self.question_dim = question_dim
         self.seed = seed
         self.demos = demos
         feature_dim = encoder_cfg.feature_dim if encoder_cfg else question_dim
@@ -465,41 +450,30 @@ class Trainer:
 
     # -- batch assembly ----------------------------------------------------
 
-    def _flatten_segment(self, seg: Segment) -> PpoBatch:
-        """GAE + flattening for one segment under the current critic."""
+    def _flatten_segment(self, seg: Segment, rows=None) -> PpoBatch:
+        """Batch rows ``rows`` (all by default) of one segment: row
+        ``t * N + n`` is agent ``n``'s step ``t``, with all of slot ``t`` as
+        its global observation.  GAE runs over the whole segment under the
+        current critic whichever rows are taken."""
         T, N = seg.steps, seg.n_agents
         corr_all = np.concatenate([seg.corr, seg.final_corr[None]], axis=0)
         q_all = np.concatenate([seg.question, seg.final_question[None]], axis=0)
         values = self.values_of(corr_all, q_all)  # (T+1,)
-        adv = np.stack(
-            [
-                compute_gae(
-                    seg.rewards[:, n],
-                    values[:T],
-                    values[T],
-                    self.cfg.gamma,
-                    self.cfg.gae_lambda,
-                )
-                for n in range(N)
-            ],
-            axis=1,
+        gamma, lam = self.cfg.gamma, self.cfg.gae_lambda
+        adv = np.column_stack(
+            [compute_gae(r, values[:T], values[T], gamma, lam) for r in seg.rewards.T]
         )
         returns = adv + values[:T, None]
-        gcorr = np.broadcast_to(
-            seg.corr[:, None, :, :], (T, N) + seg.corr.shape[1:]
-        ).reshape(T * N, N, -1)
-        gq = np.broadcast_to(
-            seg.question[:, None, :, :], (T, N) + seg.question.shape[1:]
-        ).reshape(T * N, N, -1)
+        t, n = np.divmod(np.arange(T * N) if rows is None else rows, N)
         return PpoBatch(
-            corr=seg.corr.reshape(T * N, -1),
-            question=seg.question.reshape(T * N, -1),
-            actions=seg.actions.ravel(),
-            old_probs=seg.probs.ravel(),
-            advantages=adv.ravel(),
-            returns=returns.ravel(),
-            global_corr=np.ascontiguousarray(gcorr),
-            global_question=np.ascontiguousarray(gq),
+            corr=seg.corr[t, n],
+            question=seg.question[t, n],
+            actions=seg.actions[t, n],
+            old_probs=seg.probs[t, n],
+            advantages=adv[t, n],
+            returns=returns[t, n],
+            global_corr=seg.corr[t],
+            global_question=seg.question[t],
         )
 
     # -- the update --------------------------------------------------------
@@ -530,9 +504,7 @@ class Trainer:
                 for si, seg in enumerate(demos.segments):
                     rows = chosen[bounds[si] : bounds[si + 1]] - demos.starts[si]
                     if len(rows):
-                        # GAE needs the whole segment under the current
-                        # critic, even though only the sampled rows join.
-                        parts.append(self._flatten_segment(seg).take(rows))
+                        parts.append(self._flatten_segment(seg, rows))
                 demo_count = len(chosen)
 
         batch = PpoBatch.concat(parts)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +29,6 @@ from .seeding import DOMAIN_ANSWER, DOMAIN_DELAY, substream
 from .vecstore import (
     CorrelationSet,
     RecordKind,
-    VectorRecord,
     VectorStore,
     clamp_negative,
     filter_best,
@@ -43,29 +41,18 @@ USE_CACHE = 0  # primitive action: try the local cache path
 DIRECT_CLOUD = 1  # primitive action: query the cloud LLM directly
 
 
-class SubAction(Enum):
-    """Refinement of the cache path: serve stored answer, or enhance the LLM."""
-
-    SERVE_CACHE = "serve"
-    ENHANCE = "enhance"
-
-
 @dataclass(frozen=True)
 class ActionChoice:
-    """A scheduler decision: primitive action plus optional sub-action override.
+    """A scheduler decision: the cache path (``USE_CACHE``) or the cloud.
 
-    ``sub`` is only meaningful with the cache action; leaving it None lets the
-    environment resolve serve-vs-enhance from the retrieval distance.
+    The environment splits the cache path into serve or enhance.
     """
 
     a: int
-    sub: SubAction | None = None
 
     def __post_init__(self):
         if self.a not in (USE_CACHE, DIRECT_CLOUD):
             raise ConfigError(f"primitive action must be 0 or 1, got {self.a}")
-        if self.a == DIRECT_CLOUD and self.sub is not None:
-            raise ConfigError("sub-action is meaningless with the direct-cloud action")
 
 
 @dataclass(frozen=True)
@@ -236,18 +223,6 @@ class EdgeEnv:
 
     # -- action resolution -------------------------------------------------
 
-    def _question_side_distance(
-        self, store: VectorStore, entry, question_vec: np.ndarray
-    ) -> float:
-        """Distance from the query to the question half of the entry's pair."""
-        rec = entry.record
-        if rec.kind == RecordKind.QUESTION:
-            return entry.distance
-        q_rec = store.pair_record(rec.pair_id, RecordKind.QUESTION)
-        if q_rec is None:
-            return float("inf")
-        return float(np.linalg.norm(question_vec - q_rec.vec))
-
     def _resolve(
         self,
         store: VectorStore,
@@ -272,18 +247,16 @@ class EdgeEnv:
             return "B", None, None, True
         entry = filter_best(corr, self.filter_value_weight, self.filter_freq_weight)
         rec = entry.record
-        answer_rec = (
-            rec
-            if rec.kind == RecordKind.ANSWER
-            else store.pair_record(rec.pair_id, RecordKind.ANSWER)
-        )
-        if action.sub == SubAction.ENHANCE:
-            return "C", entry, None, False
-        if action.sub == SubAction.SERVE_CACHE:
-            if answer_rec is None:
-                return "C", entry, None, False
-            return "A", entry, answer_rec, False
-        qdist = self._question_side_distance(store, entry, request.question_vec)
+        # Serve only when the matched pair's question lies within tau_serve
+        # of the query and its answer half is still stored.
+        if rec.kind == RecordKind.QUESTION:
+            qdist = entry.distance
+            answer_rec = store.pair_record(rec.pair_id, RecordKind.ANSWER)
+        else:
+            answer_rec = rec
+            q_rec = store.pair_record(rec.pair_id, RecordKind.QUESTION)
+            q = request.question_vec
+            qdist = np.inf if q_rec is None else np.linalg.norm(q - q_rec.vec)
         if qdist < self.tau_serve and answer_rec is not None:
             return "A", entry, answer_rec, False
         return "C", entry, None, False

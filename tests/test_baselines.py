@@ -41,7 +41,7 @@ def corr_of(*dists):
     return CorrelationSet(entries)
 
 
-def make_ctx(corr, server=0, slot=0, seed=0, q_dim=8, width=5):
+def make_ctx(corr, server=0, seed=0, q_dim=8, width=5):
     feats = correlation_features(corr.matrix(width))
     q = np.zeros(q_dim)
     q[0] = 1.0
@@ -50,7 +50,6 @@ def make_ctx(corr, server=0, slot=0, seed=0, q_dim=8, width=5):
         corr_features=feats,
         question_vec=q,
         server=server,
-        slot=slot,
         make_rng=functools.partial(np.random.default_rng, seed),
     )
 
@@ -75,7 +74,6 @@ class TestThresholdPolicy:
         pol = ThresholdPolicy(0.3)
         choice, prob = pol.decide(make_ctx(corr_of(0.1, 0.5)))
         assert choice.a == 0
-        assert choice.sub is None
         assert prob == 1.0
 
     def test_far_hit_goes_direct(self):

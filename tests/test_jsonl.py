@@ -82,15 +82,19 @@ class TestConverters:
         "convert, value, expected",
         [
             (jsonl.integer, 3, 3),
-            (jsonl.integer, "7", 7),
+            (jsonl.integer, 7, 7),
             (jsonl.integer, 2**63 - 1, 2**63 - 1),
+            (jsonl.integer, 4.0, 4),
+            (jsonl.integer, 2**53 + 1, 2**53 + 1),
             (jsonl.number, -1.5, -1.5),
-            (jsonl.number, "0.25", 0.25),
+            (jsonl.number, 0.25, 0.25),
+            (jsonl.number, 3, 3.0),
             (jsonl.text, "abc", "abc"),
         ],
     )
     def test_accepts(self, convert, value, expected):
-        assert convert("w", {"k": value}, "k") == expected
+        out = convert("w", {"k": value}, "k")
+        assert type(out) is type(expected) and out == expected
 
     def test_vector(self):
         out = jsonl.vector("w", {"k": [1, 2.5]}, "k")
@@ -127,6 +131,19 @@ class TestConverters:
             (jsonl.vector, [[1.0], 2.0]),
             (jsonl.text, 5),
             (jsonl.text, None),
+            # JSON numbers only: no strings, no booleans, no fractional integers
+            (jsonl.integer, "7"),
+            (jsonl.integer, True),
+            (jsonl.integer, False),
+            (jsonl.integer, 2.9),
+            (jsonl.integer, 10**400),
+            (jsonl.number, "1.5"),
+            (jsonl.number, False),
+            (jsonl.number, True),
+            (jsonl.vector, ["1", 2]),
+            (jsonl.vector, [True, 0.5]),
+            (jsonl.vector, [0.5, False]),
+            (jsonl.vector, "12"),
         ],
     )
     def test_rejects(self, convert, value):
@@ -212,6 +229,11 @@ def set_item(key, i, value):
         ("snapshot", 2, set_field("cache_value", math.nan), "cache_value: expected"),
         ("snapshot", 4, set_field("cache_value", -math.inf), "cache_value: expected"),
         ("snapshot", 2, set_field("freq", -3), "freq: expected"),
+        ("snapshot", 2, set_field("freq", 2.9), "freq: expected an integer"),
+        ("snapshot", 3, set_field("kind", True), "kind: expected"),
+        ("snapshot", 1, set_field("next_pair", "2"), "next_pair: expected an integer"),
+        ("snapshot", 4, set_field("cache_value", "-1.0"), "cache_value: expected a"),
+        ("snapshot", 2, set_item("vec", 2, "0.5"), "vec: expected a flat list"),
         ("checkpoint", 2, drop_field("name"), "name: missing"),
         ("checkpoint", 3, set_field("name", 5), "name: expected a string"),
         ("checkpoint", 2, set_item("data", 0, math.nan), "data: expected"),
@@ -221,11 +243,19 @@ def set_item(key, i, value):
         ("checkpoint", 3, set_field("shape", [-3]), "shape: expected"),
         ("checkpoint", 3, set_field("shape", [2, -1]), "shape: expected"),
         ("checkpoint", 3, set_field("shape", [3, 3]), "shape: expected"),
+        ("checkpoint", 2, set_field("data", [True]), "data: expected a flat list"),
+        ("checkpoint", 3, set_item("data", 1, False), "data: expected a flat list"),
         ("report-jsonl", 2, lambda row: [1, 2], "expected a JSON object"),
         ("report-jsonl", 1, drop_field("policy"), "policy: missing"),
         ("report-jsonl", 1, set_field("config", "x"), "config: expected an object"),
+        ("report-jsonl", 1, set_field("seed", "42"), "seed: expected an integer"),
+        ("report-jsonl", 2, set_field("count", 5.5), "bad window row: count: expected"),
+        ("report-jsonl", 3, set_field("mean_reward", "-3"), "bad window row: mean_reward: expected"),
         ("workload", 1, set_field("id", "x"), "id: expected"),
         ("workload", 4, set_field("id", -1), "id: expected"),
+        ("workload", 2, set_field("slot", "3"), "slot: expected an integer"),
+        ("workload", 3, set_field("server", True), "server: expected an integer"),
+        ("workload", 1, set_field("topic", 1.5), "topic: expected an integer"),
         ("workload", 2, set_item("question_vec", 3, math.nan), "question_vec: expected"),
         ("workload", 3, set_item("reference_vec", 0, math.inf), "reference_vec: expected"),
         ("workload", 2, set_item("question_vec", 0, 1e200), "question_vec norm overflows"),
@@ -249,6 +279,28 @@ def test_csv_report_bad_seed_names_line(tmp_path):
     assert text.splitlines()[3] == "# seed = 42"
     path.write_text(text.replace("# seed = 42", "# seed = x"))
     with pytest.raises(ParseError, match=re.escape(f"{path}: line 4: seed: expected")):
+        load_report(path)
+
+
+@pytest.mark.parametrize(
+    "row, field",
+    [
+        ("test,0,5.5,-3.0,-0.1,2.0,0.4,0.01", "count"),
+        ("test,0,true,-3.0,-0.1,2.0,0.4,0.01", "count"),
+        ("test,0.5,5,-3.0,-0.1,2.0,0.4,0.01", "index"),
+        ("test,0,5,x,-0.1,2.0,0.4,0.01", "mean_reward"),
+        ("test,0,5,-3.0,-0.1,false,0.4,0.01", "mean_delay"),
+    ],
+)
+def test_csv_report_bad_cell_names_field(tmp_path, row, field):
+    path = tmp_path / "r.csv"
+    write_report(path)
+    lines = path.read_text().splitlines()
+    assert lines[-1] == "test,0,5,-3.0,-0.1,2.0,0.4,0.01"
+    lines[-1] = row
+    path.write_text("\n".join(lines) + "\n")
+    reason = f"{path}: line {len(lines)}: bad window row: {field}: expected"
+    with pytest.raises(ParseError, match=re.escape(reason)):
         load_report(path)
 
 

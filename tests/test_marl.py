@@ -1,5 +1,8 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgesched.errors import ConfigError
 from edgesched.marl import (
@@ -488,6 +491,96 @@ class TestTrainer:
             trainer.train_update()
             outs.append(trainer.policy_params.flat())
         assert np.array_equal(outs[0], outs[1])
+
+
+def flatten_whole_segment(trainer, seg):
+    """Reference: every row of one segment as a batch, each row's global
+    observation a broadcast copy of its slot.  ``_flatten_segment(seg,
+    rows)`` must equal this followed by ``.take(rows)``."""
+    T, N = seg.steps, seg.n_agents
+    corr_all = np.concatenate([seg.corr, seg.final_corr[None]], axis=0)
+    q_all = np.concatenate([seg.question, seg.final_question[None]], axis=0)
+    values = trainer.values_of(corr_all, q_all)
+    cfg = trainer.cfg
+    adv = np.stack(
+        [
+            compute_gae(seg.rewards[:, n], values[:T], values[T], cfg.gamma, cfg.gae_lambda)
+            for n in range(N)
+        ],
+        axis=1,
+    )
+    returns = adv + values[:T, None]
+    gcorr = np.broadcast_to(
+        seg.corr[:, None, :, :], (T, N) + seg.corr.shape[1:]
+    ).reshape(T * N, N, -1)
+    gq = np.broadcast_to(
+        seg.question[:, None, :, :], (T, N) + seg.question.shape[1:]
+    ).reshape(T * N, N, -1)
+    return PpoBatch(
+        corr=seg.corr.reshape(T * N, -1),
+        question=seg.question.reshape(T * N, -1),
+        actions=seg.actions.ravel(),
+        old_probs=seg.probs.ravel(),
+        advantages=adv.ravel(),
+        returns=returns.ravel(),
+        global_corr=np.ascontiguousarray(gcorr),
+        global_question=np.ascontiguousarray(gq),
+    )
+
+
+def assert_same_bits(got, want):
+    for f in fields(PpoBatch):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+        assert a.tobytes() == b.tobytes(), f.name
+
+
+class TestBatchRows:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        T=st.integers(1, 6),
+        N=st.integers(1, 4),
+        corr_dim=st.integers(1, 4),
+        question_dim=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_row_gather_matches_whole_segment_take(
+        self, T, N, corr_dim, question_dim, seed, data
+    ):
+        rng = np.random.default_rng(seed)
+        trainer = make_trainer(n_agents=N, corr_dim=corr_dim, question_dim=question_dim)
+        for tensor in trainer.value_params.tensors.values():
+            tensor += rng.normal(size=tensor.shape)  # a critic with nonzero values
+        seg = random_segment(rng, T=T, N=N, corr_dim=corr_dim, question_dim=question_dim)
+        seg.probs = rng.uniform(0.1, 0.9, size=(T, N))
+        rows = data.draw(
+            st.lists(st.integers(0, T * N - 1), min_size=1, unique=True).map(sorted),
+            label="rows",
+        )
+        rows = np.array(rows)
+        whole = flatten_whole_segment(trainer, seg)
+        assert_same_bits(trainer._flatten_segment(seg), whole)
+        assert_same_bits(trainer._flatten_segment(seg, rows), whole.take(rows))
+
+    def test_take_and_concat_carry_every_field(self):
+        B = 4
+        batch = PpoBatch(
+            **{
+                f.name: np.arange(B * 3.0).reshape(B, 3) + 100 * i
+                for i, f in enumerate(fields(PpoBatch))
+            }
+        )
+        idx = np.array([3, 0, 3])
+        taken = batch.take(idx)
+        joined = PpoBatch.concat([batch, taken])
+        assert len(fields(PpoBatch)) == 8
+        for f in fields(PpoBatch):
+            whole = getattr(batch, f.name)
+            assert np.array_equal(getattr(taken, f.name), whole[idx]), f.name
+            assert np.array_equal(
+                getattr(joined, f.name), np.concatenate([whole, whole[idx]])
+            ), f.name
 
 
 class TestStates:

@@ -9,20 +9,17 @@ from edgesched.simenv import (
     AnswerModel,
     DelayModel,
     EdgeEnv,
-    SubAction,
     qos_cost,
     reward,
     satisfaction,
 )
-from edgesched.vecstore import VectorStore
+from edgesched.vecstore import RecordKind, VectorStore
 from edgesched.workload import Request
 
 E = np.eye(16)
 
 CACHE = ActionChoice(USE_CACHE)
 CLOUD = ActionChoice(DIRECT_CLOUD)
-SERVE = ActionChoice(USE_CACHE, SubAction.SERVE_CACHE)
-ENHANCE = ActionChoice(USE_CACHE, SubAction.ENHANCE)
 
 
 def sphere_point(dist):
@@ -110,12 +107,6 @@ class TestActionChoice:
     def test_validation(self):
         with pytest.raises(ConfigError):
             ActionChoice(2)
-        with pytest.raises(ConfigError):
-            ActionChoice(DIRECT_CLOUD, SubAction.SERVE_CACHE)
-
-    def test_cache_action_allows_sub(self):
-        assert ActionChoice(USE_CACHE, SubAction.ENHANCE).sub is SubAction.ENHANCE
-        assert ActionChoice(DIRECT_CLOUD).sub is None
 
 
 class TestRouting:
@@ -193,17 +184,51 @@ class TestRouting:
         assert t1.q == pytest.approx(-0.25, abs=1e-12)  # sigma_llm + sigma_mislead
         assert t1.r == pytest.approx(-6.65, abs=1e-12)
 
-    def test_forced_serve_overrides_distance_gate(self):
-        env, _ = self.primed()
-        r1 = make_request(1, sphere_point(0.3), E[2], slot=1)
-        t1 = env.step(r1, SERVE)
+    def primed_pair(self, question, answer):
+        """A store holding one pair whose halves are ``question`` and ``answer``."""
+        env = make_env()
+        store = env.stores[0]
+        store.insert_qa(question, answer, 0, -1.0)
+        return env, store
+
+    def evict_half(self, env, store, kind):
+        """Sink the ``kind`` half's cache value below the pair mean and sweep."""
+        (rec,) = [r for r in store.records() if r.kind == kind]
+        store.update_cache_value(rec, -10.0, 1.0)
+        env.evict_period = 1
+        env.begin_slot(1)
+        (survivor,) = store.records()
+        assert survivor.kind != kind
+
+    def test_answer_wins_with_near_partner_question_serves(self):
+        answer = sphere_point(0.1)
+        env, store = self.primed_pair(E[0], answer)
+        t1 = env.step(make_request(1, answer, answer, slot=1), CACHE)
         assert t1.resolved == "A"
         assert t1.d == 0.81
+        assert t1.q == -1e-9  # the stored answer itself was served
+        (hit,) = [r for r in store.records() if r.freq == 1]
+        assert hit.kind == RecordKind.ANSWER
 
-    def test_forced_enhance_overrides_distance_gate(self):
-        env, _ = self.primed()
-        r1 = make_request(1, sphere_point(0.05), E[2], slot=1)
-        t1 = env.step(r1, ENHANCE)
+    def test_answer_wins_with_far_partner_question_enhances(self):
+        env, store = self.primed_pair(E[0], E[1])
+        t1 = env.step(make_request(1, E[1], E[2], slot=1), CACHE)
+        assert t1.resolved == "C"
+        assert t1.q == pytest.approx(-0.05, abs=1e-12)  # relevant context
+        (hit,) = [r for r in store.records() if r.freq == 1]
+        assert hit.kind == RecordKind.ANSWER
+
+    def test_question_wins_with_evicted_answer_enhances(self):
+        env, store = self.primed_pair(E[0], E[1])
+        self.evict_half(env, store, RecordKind.ANSWER)
+        t1 = env.step(make_request(1, E[0], E[2], slot=1), CACHE)
+        assert t1.resolved == "C"
+        assert t1.q == pytest.approx(-0.05, abs=1e-12)
+
+    def test_answer_wins_with_evicted_question_enhances(self):
+        env, store = self.primed_pair(E[0], E[1])
+        self.evict_half(env, store, RecordKind.QUESTION)
+        t1 = env.step(make_request(1, E[1], E[2], slot=1), CACHE)
         assert t1.resolved == "C"
         assert t1.q == pytest.approx(-0.05, abs=1e-12)
 
