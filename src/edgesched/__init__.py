@@ -28,8 +28,6 @@ from .vecstore import (
     VectorStore,
     clamp_negative,
     filter_best,
-    read_snapshot,
-    write_snapshot,
 )
 from .simenv import (
     ActionChoice,
@@ -83,8 +81,6 @@ from .nn import (
     ParamSet,
     PolicyNet,
     ValueNet,
-    load_params,
-    save_params,
 )
 
 __version__ = "0.1.0"

@@ -1,8 +1,8 @@
 """Reading JSON-lines input files: one line reader and its field converters.
 
-Replay workloads, store snapshots, parameter checkpoints and JSON-lines
-reports are all read through :func:`rows`.  It yields each non-blank line as
-a JSON object together with ``where``, the ``"<path>: line N"`` that starts
+Replay workloads and JSON-lines reports are read through :func:`rows`, CSV
+reports through :func:`lines`.  :func:`rows` yields each non-blank line as a
+JSON object together with ``where``, the ``"<path>: line N"`` that starts
 every error message about that line.  The converters turn one field of a
 row into the value a reader needs, or raise
 :class:`~edgesched.errors.ParseError` ``"<where>: <field>: <reason>"`` when
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ParseError
 
-_INT_MAX = 2**63 - 1  # stores keep their integer fields in int64 arrays
+_INT_MAX = 2**63 - 1  # int64's maximum, so every integer read fits a numpy int64
 _NUMBER = (int, float)  # json.loads's number types; a bool is not one
 
 
@@ -45,16 +45,6 @@ def rows(path) -> Iterator[tuple[str, dict]]:
         if not isinstance(row, dict):
             raise ParseError(f"{where}: expected a JSON object")
         yield where, row
-
-
-def with_header(path, fmt: str, what: str) -> tuple[str, dict, Iterator]:
-    """The first row of ``path``, which must carry ``"format": fmt``, plus
-    an iterator over the remaining rows.  Raises "<where>: not a <what>"."""
-    it = rows(path)
-    where, header = next(it, (f"{path}: line 1", {}))
-    if header.get("format") != fmt:
-        raise ParseError(f"{where}: not a {what}")
-    return where, header, it
 
 
 def _field(where: str, row: dict, key: str, convert, valid, expected: str):

@@ -1,4 +1,4 @@
-"""Named-tensor parameter sets, the Adam optimizer, and checkpoint files.
+"""Named-tensor parameter sets and the Adam optimizer.
 
 Parameters are plain dicts of float64 arrays wrapped in a :class:`ParamSet`.
 :meth:`Adam.step` updates a set's tensors in place, so a view that must stay
@@ -8,12 +8,9 @@ taken with :meth:`ParamSet.copy`.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
-from .. import jsonl
-from ..errors import GradientError, ParseError
+from ..errors import GradientError
 
 
 class ParamSet:
@@ -31,12 +28,6 @@ class ParamSet:
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.tensors
-
-    def __len__(self) -> int:
-        return len(self.tensors)
 
     def size(self) -> int:
         """Total scalar parameter count."""
@@ -103,52 +94,3 @@ class Adam:
                 v += (1.0 - b2) * g * g
             step = self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
             params.tensors[name] -= step
-
-
-_CHECKPOINT_FORMAT = "edgesched-params"
-
-
-def save_params(path, params: ParamSet) -> None:
-    """Write a parameter set as JSON lines (header + one line per tensor)."""
-    with open(path, "w") as fh:
-        header = {"format": _CHECKPOINT_FORMAT, "count": len(params)}
-        fh.write(json.dumps(header) + "\n")
-        for name in params.names():
-            t = params[name]
-            row = {
-                "name": name,
-                "shape": list(t.shape),
-                "data": [float(x) for x in t.ravel()],
-            }
-            fh.write(json.dumps(row) + "\n")
-
-
-def load_params(path) -> ParamSet:
-    """Read a checkpoint written by :func:`save_params`.
-
-    Header keys other than ``format`` and ``count`` are ignored, so files
-    that still carry the old ``version`` field load too.
-    """
-    _, header, body = jsonl.with_header(
-        path, _CHECKPOINT_FORMAT, "parameter checkpoint"
-    )
-    tensors = {}
-    for where, row in body:
-        name = jsonl.text(where, row, "name")
-        data = jsonl.vector(where, row, "data")
-        shape = row.get("shape")
-        try:
-            if not isinstance(shape, list) or any(type(n) is not int or n < 0 for n in shape):
-                raise ValueError
-            tensors[name] = data.reshape(shape)  # numpy checks the product
-        except ValueError:
-            raise ParseError(
-                f"{where}: shape: expected a list of integers >= 0 "
-                f"with product {data.size}"
-            ) from None
-    if len(tensors) != header.get("count"):
-        raise ParseError(
-            f"{path}: header promises {header.get('count')} tensors, "
-            f"found {len(tensors)}"
-        )
-    return ParamSet(tensors)

@@ -13,15 +13,13 @@ periodic eviction sweep that drops below-average records.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Sequence
 
 import numpy as np
 
-from . import jsonl
-from .errors import ConfigError, EmptyCorrelationError, ParseError
+from .errors import ConfigError, EmptyCorrelationError
 from .seeding import DOMAIN_INDEX, substream
 
 __all__ = [
@@ -33,8 +31,6 @@ __all__ = [
     "VectorStore",
     "filter_best",
     "clamp_negative",
-    "write_snapshot",
-    "read_snapshot",
 ]
 
 
@@ -311,9 +307,6 @@ class VectorStore:
     def __len__(self) -> int:
         return self._n
 
-    def __contains__(self, rid: int) -> bool:
-        return self._row_of(rid) is not None
-
     @property
     def index_builds(self) -> int:
         """How many times the coarse quantizer has been retrained."""
@@ -346,8 +339,9 @@ class VectorStore:
 
     # -- insertion ---------------------------------------------------------
 
-    def _append(self, rid, vec, kind, freq, value, slot, pair) -> int:
-        """Write one record into the next free row; returns the row."""
+    def _append(self, vec, kind, value, slot, pair) -> int:
+        """Write a record with the next rid and a use count of zero into the
+        next free row; returns the row."""
         row = self._n
         if row == self._rid.shape[0]:
             for name in ("_vecs", *_FIELDS):
@@ -356,9 +350,10 @@ class VectorStore:
                 new[:row] = old
                 setattr(self, name, new)
         self._vecs[row] = vec
-        self._rid[row] = rid
+        self._rid[row] = self._next_rid
+        self._next_rid += 1
         self._kind[row] = kind
-        self._freq[row] = freq
+        self._freq[row] = 0
         self._value[row] = value
         self._slot[row] = slot
         self._pair[row] = pair
@@ -385,21 +380,17 @@ class VectorStore:
         value = clamp_negative(float(initial_cache_value))
         pair = self._next_pair
         self._next_pair += 1
-        rids = []
         for vec, kind in (
             (question_vec, RecordKind.QUESTION),
             (answer_vec, RecordKind.ANSWER),
         ):
-            rid = self._next_rid
-            self._next_rid += 1
-            row = self._append(rid, vec, kind, 0, value, slot, pair)
-            rids.append(rid)
+            row = self._append(vec, kind, value, slot, pair)
             if self._index is not None:
                 self._index.add(row, self._vecs[row])
         self._inserts_since_build += 2
         if self._index is None or self._inserts_since_build >= self.rebuild_every:
             self.rebuild_index()
-        return rids[0], rids[1]
+        return self._next_rid - 2, self._next_rid - 1
 
     # -- pair lookups ------------------------------------------------------
 
@@ -460,8 +451,8 @@ class VectorStore:
         """
         self._check_query(query, width)
         index = self._index
-        if index is None:  # empty, or no insert yet since construction/restore
-            return self._score(np.arange(self._n), query, width)
+        if index is None:  # the store is empty
+            return CorrelationSet([])
         target = max(self.min_candidates, width)
         candidates: list[int] = []
         for li in index.probe_order(query):
@@ -523,9 +514,16 @@ class VectorStore:
         return value
 
     def mean_cache_value(self) -> float:
+        """The live records' mean cache value.
+
+        Rounding can put ``np.mean`` outside the values (three equal values
+        of -0.1 average to -0.09999999999999999), so the result is clamped
+        into their range, where the exact mean lies.
+        """
         if not self._n:
             raise EmptyCorrelationError("store is empty")
-        return float(np.mean(self._value[: self._n]))
+        values = self._value[: self._n]
+        return float(min(max(np.mean(values), values.min()), values.max()))
 
     def evict(self, slot: int) -> int:
         """Drop records with below-mean cache value; returns how many fell.
@@ -545,94 +543,3 @@ class VectorStore:
         self.rebuild_index()
         self.eviction_log.append((slot, n - kept))
         return n - kept
-
-
-# -- snapshots -------------------------------------------------------------
-
-_SNAPSHOT_FORMAT = "edgesched-store"
-
-
-def write_snapshot(store: VectorStore, path) -> int:
-    """Persist a store's records as JSON lines; returns the record count."""
-    with open(path, "w") as fh:
-        header = {
-            "format": _SNAPSHOT_FORMAT,
-            "dim": store.dim,
-            "next_rid": store._next_rid,
-            "next_pair": store._next_pair,
-        }
-        fh.write(json.dumps(header) + "\n")
-        for rec in store.records():
-            row = {
-                "rid": rec.rid,
-                "vec": rec.vec.tolist(),
-                "kind": int(rec.kind),
-                "freq": rec.freq,
-                "cache_value": rec.cache_value,
-                "inserted_at": rec.inserted_at,
-                "pair_id": rec.pair_id,
-            }
-            fh.write(json.dumps(row) + "\n")
-    return len(store)
-
-
-def read_snapshot(
-    path,
-    nlist: int = 128,
-    min_candidates: int = 10,
-    rebuild_every: int = 1000,
-    seed: int = 0,
-    server: int = 0,
-) -> VectorStore:
-    """Restore a store from :func:`write_snapshot` output and rebuild its index."""
-    head, header, body = jsonl.with_header(
-        path, _SNAPSHOT_FORMAT, "store snapshot header"
-    )
-    dim = jsonl.integer(head, header, "dim", low=1)
-    next_rid = jsonl.integer(head, header, "next_rid")
-    next_pair = jsonl.integer(head, header, "next_pair")
-    records: list[VectorRecord] = []
-    for where, row in body:
-        vec = jsonl.vector(where, row, "vec")
-        if vec.shape != (dim,):
-            raise ParseError(f"{where}: vector dimension {vec.shape} != ({dim},)")
-        kind = jsonl.integer(where, row, "kind", low=1)
-        if kind >= len(_KINDS):
-            raise ParseError(f"{where}: kind: expected 1 or 2")
-        rec = VectorRecord(
-            rid=jsonl.integer(where, row, "rid"),
-            vec=vec,
-            kind=_KINDS[kind],
-            freq=jsonl.integer(where, row, "freq"),
-            cache_value=jsonl.number(where, row, "cache_value"),
-            inserted_at=jsonl.integer(where, row, "inserted_at"),
-            pair_id=jsonl.integer(where, row, "pair_id"),
-        )
-        if rec.cache_value >= 0.0:
-            raise ParseError(f"{where}: cache_value must be negative")
-        records.append(rec)
-    records.sort(key=lambda r: r.rid)
-    halves = {(r.pair_id, r.kind) for r in records}
-    if len({r.rid for r in records}) < len(records) or len(halves) < len(records):
-        raise ParseError(f"{path}: duplicate record id or pair half")
-    if records and (
-        records[-1].rid >= next_rid or max(r.pair_id for r in records) >= next_pair
-    ):
-        raise ParseError(f"{path}: record or pair id not below next_rid/next_pair")
-    if any(a.pair_id > b.pair_id for a, b in zip(records, records[1:])):
-        raise ParseError(f"{path}: pair ids decrease with record id")
-    try:
-        store = VectorStore(dim, nlist, min_candidates, rebuild_every, seed, server)
-    except ConfigError:
-        raise  # the caller's index settings, not the file
-    except (ValueError, MemoryError) as exc:  # numpy cannot hold a dim-wide row
-        raise ParseError(f"{head}: dim: {exc}") from exc
-    store._next_rid = next_rid
-    store._next_pair = next_pair
-    for rec in records:
-        store._append(
-            rec.rid, rec.vec, rec.kind, rec.freq, rec.cache_value,
-            rec.inserted_at, rec.pair_id,
-        )
-    store.rebuild_index()
-    return store

@@ -6,10 +6,11 @@ Usage, from the repository root::
 
 Every run in :data:`RUNS` writes ``<name>.csv`` (its CSV report) and
 ``<name>.transitions.jsonl`` (its transition log) into this directory,
-replacing what is there.  The runs are the seven policies in both test-phase
-routing modes at the acceptance suite's determinism config, plus one
-mid-size heuristic run in broadcast mode that serves, enhances and goes
-direct thousands of times and passes four eviction sweeps.
+replacing what is there.  The 16 runs are the seven policies in both
+test-phase routing modes at the acceptance suite's determinism config, plus:
+one mid-size heuristic run in broadcast mode that serves, enhances and goes
+direct thousands of times and passes four eviction sweeps, and one ``lrs``
+run with enough expert demonstrations that its PPO batches mix demo rows in.
 """
 
 from __future__ import annotations
@@ -54,6 +55,11 @@ def _runs() -> dict[str, ExperimentConfig]:
         test_slots=300,
         nlist=8,
         evict_period=200,
+    )
+    # 20 demo slots x 2 servers give 40 demo transitions, above the
+    # min_demo_quota of 16: update 1 mixes in all 40, update 2 samples 20.
+    runs["demo-lrs-nearest"] = replace(
+        base, policy="lrs", mode="nearest", train_slots=20, demo_slots=20
     )
     return runs
 

@@ -1,9 +1,10 @@
 """Byte-for-byte comparison of fresh runs against the committed goldens.
 
-``tests/golden/`` holds the CSV report and the transition log of every run
-in ``make_goldens.RUNS``: the seven policies in nearest and broadcast mode at
-the determinism config, and one mid-size heuristic broadcast run.  A
-refactor must leave every file byte-identical.
+``tests/golden/`` holds the CSV report and the transition log of each of the
+16 runs in ``make_goldens.RUNS``: the seven policies in nearest and broadcast
+mode at the determinism config, one mid-size heuristic broadcast run, and one
+``lrs`` run whose PPO batches mix in expert demonstrations.  A refactor must
+leave every file byte-identical.
 
 The goldens depend on numpy's and the BLAS library's floating-point
 arithmetic.  When the machine, numpy or BLAS changes, regenerate them with

@@ -1,4 +1,4 @@
-"""Tests for the shared JSON-lines reader and the four file readers on it.
+"""Tests for the shared JSON-lines reader and the workload and report readers.
 
 Every malformed input file must fail as :class:`ParseError` naming the file
 and line, never as a raw ``KeyError``/``ValueError`` from deep inside a
@@ -19,13 +19,10 @@ from hypothesis import given, settings, strategies as st
 from edgesched import jsonl
 from edgesched.errors import ConfigError, ParseError
 from edgesched.harness import MetricsReport, MetricsWindow, emit_report, load_report
-from edgesched.nn.params import ParamSet, load_params, save_params
-from edgesched.vecstore import VectorStore, read_snapshot, write_snapshot
 from edgesched.workload import (
     WorkloadGenerator,
     generate_topics,
     load_workload,
-    random_unit,
     save_workload,
 )
 
@@ -63,18 +60,6 @@ class TestRows:
         path.write_bytes(b'{"a": 1}\n\xff\xfe\n')
         with pytest.raises(ParseError, match="not a text file"):
             list(jsonl.rows(path))
-
-    def test_header_format_checked(self, tmp_path):
-        path = tmp_path / "f.jsonl"
-        path.write_text('{"format": "x", "n": 1}\n{"v": 2}\n')
-        where, header, rest = jsonl.with_header(path, "x", "thing")
-        assert (where, header) == (f"{path}: line 1", {"format": "x", "n": 1})
-        assert list(rest) == [(f"{path}: line 2", {"v": 2})]
-        with pytest.raises(ParseError, match=re.escape(f"{path}: line 1: not a y")):
-            jsonl.with_header(path, "y", "y")
-        path.write_text("")
-        with pytest.raises(ParseError, match="line 1: not a thing"):
-            jsonl.with_header(path, "x", "thing")
 
 
 class TestConverters:
@@ -166,20 +151,6 @@ def write_workload(path):
     save_workload(path, list(gen.stream(2)))  # 4 rows
 
 
-def write_store(path):
-    store = VectorStore(dim=DIM, nlist=1, seed=0)
-    rng = np.random.default_rng(1)
-    for slot in range(2):
-        q, a = random_unit(rng, DIM), random_unit(rng, DIM)
-        store.insert_qa(q, a, slot=slot, initial_cache_value=-1.0)
-    write_snapshot(store, path)  # header + 4 rows
-
-
-def write_checkpoint(path):
-    tensors = {"a.b": np.array(0.5), "a.w": np.arange(6.0).reshape(2, 3)}
-    save_params(path, ParamSet(tensors))  # header + "a.b" + "a.w"
-
-
 def write_report(path):
     windows = [
         MetricsWindow(phase, 0, 5, -4.0 + i, -0.1, 2.0, 0.4, 0.01)
@@ -191,8 +162,6 @@ def write_report(path):
 
 READERS = {
     "workload": (write_workload, "w.jsonl", lambda p: load_workload(p, dim=DIM)),
-    "snapshot": (write_store, "s.jsonl", read_snapshot),
-    "checkpoint": (write_checkpoint, "c.jsonl", load_params),
     "report-jsonl": (write_report, "r.jsonl", load_report),
     "report-csv": (write_report, "r.csv", load_report),
 }
@@ -219,38 +188,14 @@ def set_item(key, i, value):
 @pytest.mark.parametrize(
     "reader, lineno, edit, reason",
     [
-        ("snapshot", 1, drop_field("dim"), "dim: missing"),
-        ("snapshot", 1, set_field("dim", "x"), "dim: expected"),
-        ("snapshot", 1, drop_field("next_rid"), "next_rid: missing"),
-        ("snapshot", 1, set_field("dim", 0), "dim: expected an integer in [1, "),
-        ("snapshot", 3, set_field("kind", 3), "kind: expected 1 or 2"),
-        ("snapshot", 2, set_item("vec", 0, math.nan), "vec: expected"),
-        ("snapshot", 3, set_item("vec", 1, math.inf), "vec: expected"),
-        ("snapshot", 2, set_field("cache_value", math.nan), "cache_value: expected"),
-        ("snapshot", 4, set_field("cache_value", -math.inf), "cache_value: expected"),
-        ("snapshot", 2, set_field("freq", -3), "freq: expected"),
-        ("snapshot", 2, set_field("freq", 2.9), "freq: expected an integer"),
-        ("snapshot", 3, set_field("kind", True), "kind: expected"),
-        ("snapshot", 1, set_field("next_pair", "2"), "next_pair: expected an integer"),
-        ("snapshot", 4, set_field("cache_value", "-1.0"), "cache_value: expected a"),
-        ("snapshot", 2, set_item("vec", 2, "0.5"), "vec: expected a flat list"),
-        ("checkpoint", 2, drop_field("name"), "name: missing"),
-        ("checkpoint", 3, set_field("name", 5), "name: expected a string"),
-        ("checkpoint", 2, set_item("data", 0, math.nan), "data: expected"),
-        ("checkpoint", 3, set_item("data", 4, math.inf), "data: expected"),
-        ("checkpoint", 3, drop_field("shape"), "shape: expected"),
-        ("checkpoint", 3, set_field("shape", None), "shape: expected"),
-        ("checkpoint", 3, set_field("shape", [-3]), "shape: expected"),
-        ("checkpoint", 3, set_field("shape", [2, -1]), "shape: expected"),
-        ("checkpoint", 3, set_field("shape", [3, 3]), "shape: expected"),
-        ("checkpoint", 2, set_field("data", [True]), "data: expected a flat list"),
-        ("checkpoint", 3, set_item("data", 1, False), "data: expected a flat list"),
         ("report-jsonl", 2, lambda row: [1, 2], "expected a JSON object"),
         ("report-jsonl", 1, drop_field("policy"), "policy: missing"),
         ("report-jsonl", 1, set_field("config", "x"), "config: expected an object"),
         ("report-jsonl", 1, set_field("seed", "42"), "seed: expected an integer"),
         ("report-jsonl", 2, set_field("count", 5.5), "bad window row: count: expected"),
         ("report-jsonl", 3, set_field("mean_reward", "-3"), "bad window row: mean_reward: expected"),
+        ("report-jsonl", 2, set_field("mean_reward", math.nan), "bad window row: mean_reward: expected a finite"),
+        ("report-jsonl", 1, set_field("policy", 5), "policy: expected a string"),
         ("workload", 1, set_field("id", "x"), "id: expected"),
         ("workload", 4, set_field("id", -1), "id: expected"),
         ("workload", 2, set_field("slot", "3"), "slot: expected an integer"),
@@ -259,6 +204,9 @@ def set_item(key, i, value):
         ("workload", 2, set_item("question_vec", 3, math.nan), "question_vec: expected"),
         ("workload", 3, set_item("reference_vec", 0, math.inf), "reference_vec: expected"),
         ("workload", 2, set_item("question_vec", 0, 1e200), "question_vec norm overflows"),
+        ("workload", 3, drop_field("slot"), "slot: missing"),
+        ("workload", 2, set_item("question_vec", 2, "0.5"), "question_vec: expected a flat list"),
+        ("workload", 4, set_item("reference_vec", 1, False), "reference_vec: expected a flat list"),
     ],
 )
 def test_malformed_row_names_path_and_line(tmp_path, reader, lineno, edit, reason):
@@ -304,16 +252,6 @@ def test_csv_report_bad_cell_names_field(tmp_path, row, field):
         load_report(path)
 
 
-def test_empty_snapshot_too_wide_for_numpy_names_dim(tmp_path):
-    # numpy rejects a (16, 2**62) float64 matrix before allocating anything.
-    path = tmp_path / "s.jsonl"
-    write_store(path)
-    header = json.loads(path.read_text().splitlines()[0])
-    path.write_text(json.dumps({**header, "dim": 2**62}) + "\n")
-    with pytest.raises(ParseError, match=re.escape(f"{path}: line 1: dim: ")):
-        read_snapshot(path)
-
-
 # -- property: one mutated line never escapes as another exception ------------
 
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
@@ -356,7 +294,7 @@ def test_one_mutated_line_loads_or_raises_parse_error(reader, data):
         lines[i] = data.draw(mutations(lines[i]), label="replacement")
         path.write_text("\n".join(lines) + "\n")
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # renormalizing, k-means overflow
+            warnings.simplefilter("ignore")  # renormalizing workload vectors
             try:
                 load(path)
             except ParseError:

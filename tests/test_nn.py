@@ -1,10 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgesched.errors import ConfigError, GradientError, ParseError
+from edgesched.errors import ConfigError, GradientError
 from edgesched.nn import (
     Adam,
     EncoderConfig,
@@ -15,8 +13,6 @@ from edgesched.nn import (
     ValueNet,
     finite_difference_grads,
     gradient_relative_error,
-    load_params,
-    save_params,
 )
 from edgesched.nn.layers import (
     attention_backward,
@@ -384,51 +380,3 @@ class TestAdam:
         for _ in range(300):
             opt.step(params, {"w": 2.0 * params["w"]})
         assert abs(params["w"][0]) < 1e-3
-
-
-class TestCheckpoints:
-    def test_round_trip_bitwise(self, tmp_path):
-        rng = np.random.default_rng(9)
-        ps = ParamSet({"a.w": rng.normal(size=(3, 2)), "a.b": rng.normal(size=2)})
-        path = tmp_path / "ckpt.jsonl"
-        save_params(path, ps)
-        back = load_params(path)
-        assert back.names() == ps.names()
-        for name in ps.names():
-            assert np.array_equal(back[name], ps[name])
-
-    def test_header_with_old_version_field_loads(self, tmp_path):
-        ps = ParamSet({"a": np.array([1.5, -2.0])})
-        path = tmp_path / "ckpt.jsonl"
-        save_params(path, ps)
-        lines = path.read_text().splitlines()
-        assert "version" not in json.loads(lines[0])
-        lines[0] = json.dumps({"format": "edgesched-params", "version": 7, "count": 1})
-        path.write_text("\n".join(lines) + "\n")
-        back = load_params(path)
-        assert np.array_equal(back["a"], ps["a"])
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        path.write_text('{"format": "nope"}\n')
-        with pytest.raises(ParseError, match="checkpoint"):
-            load_params(path)
-
-    def test_count_mismatch(self, tmp_path):
-        ps = ParamSet({"a": np.zeros(2), "b": np.zeros(2)})
-        path = tmp_path / "ckpt.jsonl"
-        save_params(path, ps)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")  # drop one tensor
-        with pytest.raises(ParseError, match="promises"):
-            load_params(path)
-
-    def test_corrupt_tensor_names_line(self, tmp_path):
-        ps = ParamSet({"a": np.zeros(2)})
-        path = tmp_path / "ckpt.jsonl"
-        save_params(path, ps)
-        lines = path.read_text().splitlines()
-        lines[1] = '{"name": "a", "shape": [3], "data": [1.0]}'
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match="line 2"):
-            load_params(path)

@@ -1,12 +1,8 @@
-import json
-import tempfile
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgesched.errors import EmptyCorrelationError, ParseError
+from edgesched.errors import EmptyCorrelationError
 from edgesched.seeding import substream
 from edgesched.vecstore import (
     _cluster_means,
@@ -17,8 +13,6 @@ from edgesched.vecstore import (
     VectorStore,
     clamp_negative,
     filter_best,
-    read_snapshot,
-    write_snapshot,
 )
 from edgesched.workload import random_unit
 
@@ -268,11 +262,13 @@ class TestEviction:
         assert store.eviction_log[-1] == (10, 4)
 
     def test_records_at_mean_survive(self):
-        store = make_store()
-        for i in range(3):
-            store.insert_qa(np.eye(16)[2 * i], np.eye(16)[2 * i + 1], slot=0, initial_cache_value=-2.0)
-        assert store.evict(slot=1) == 0
-        assert len(store) == 6
+        # np.mean of six -0.1s is -0.09999999999999999, above every value.
+        for value in (-2.0, -0.1):
+            store = make_store()
+            for i in range(3):
+                store.insert_qa(np.eye(16)[2 * i], np.eye(16)[2 * i + 1], slot=0, initial_cache_value=value)
+            assert store.evict(slot=1) == 0
+            assert len(store) == 6
 
     def test_empty_store_noop(self):
         store = make_store()
@@ -344,91 +340,6 @@ class TestRebuild:
             qvec = random_unit(np.random.default_rng(11), 8)
             results.append([(e.record.rid, e.distance) for e in store.query(qvec, 5)])
         assert results[0] == results[1]
-
-
-class TestSnapshot:
-    def test_round_trip(self, tmp_path):
-        store = make_store(dim=8, nlist=2, seed=12)
-        fill(store, 12, seed=13)
-        rec = store.record(0)
-        store.update_cache_value(rec, q=-0.2, d=0.5)
-        path = tmp_path / "store.jsonl"
-        write_snapshot(store, path)
-        back = read_snapshot(path)
-        assert len(back) == len(store)
-        for r in store.records():
-            b = back.record(r.rid)
-            assert np.array_equal(b.vec, r.vec)
-            assert b.kind == r.kind
-            assert b.freq == r.freq
-            assert b.cache_value == r.cache_value
-            assert b.pair_id == r.pair_id
-        # exact scans agree bitwise; the IVF index itself is rebuilt on
-        # restore (fresh k-means), so approximate results may differ
-        qvec = random_unit(np.random.default_rng(14), 8)
-        a = [(e.record.rid, e.distance) for e in store.exact_knn(qvec, 5)]
-        b = [(e.record.rid, e.distance) for e in back.exact_knn(qvec, 5)]
-        assert a == b
-        assert len(back.query(qvec, 5)) == 5
-
-    def test_restored_store_keeps_inserting(self, tmp_path):
-        store = make_store(dim=8, seed=15)
-        fill(store, 3, seed=16)
-        path = tmp_path / "store.jsonl"
-        write_snapshot(store, path)
-        back = read_snapshot(path)
-        rid_q, _ = back.insert_qa(np.eye(8)[0], np.eye(8)[1], slot=9, initial_cache_value=-1.0)
-        assert rid_q not in {r.rid for r in store.records()}
-        assert back.record(rid_q).inserted_at == 9
-
-    def test_bad_header_raises(self, tmp_path):
-        path = tmp_path / "store.jsonl"
-        path.write_text('{"format": "something-else"}\n')
-        with pytest.raises(ParseError, match="header"):
-            read_snapshot(path)
-
-    def test_corrupt_row_names_line(self, tmp_path):
-        store = make_store(dim=8, seed=17)
-        fill(store, 2, seed=18)
-        path = tmp_path / "store.jsonl"
-        write_snapshot(store, path)
-        lines = path.read_text().splitlines()
-        lines[2] = "{broken"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match="line 3"):
-            read_snapshot(path)
-
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            (lambda rows: rows + [rows[-1]], "duplicate record id"),
-            (lambda rows: [{**rows[0], "rid": 99}] + rows[1:], "next_rid"),
-            (
-                lambda rows: [{**r, "pair_id": 1 - r["pair_id"]} for r in rows],
-                "pair ids decrease",
-            ),
-        ],
-    )
-    def test_inconsistent_ids_rejected(self, tmp_path, edit, message):
-        # Rows must come back in rid order, and with pair ids rising with rid.
-        store = make_store(dim=8, seed=21)
-        fill(store, 2, seed=22)
-        path = tmp_path / "store.jsonl"
-        write_snapshot(store, path)
-        header, *rows = [json.loads(line) for line in path.read_text().splitlines()]
-        path.write_text("".join(json.dumps(r) + "\n" for r in [header, *edit(rows)]))
-        with pytest.raises(ParseError, match=message):
-            read_snapshot(path)
-
-    def test_nonnegative_cache_value_rejected(self, tmp_path):
-        store = make_store(dim=8, seed=19)
-        fill(store, 1, seed=20)
-        path = tmp_path / "store.jsonl"
-        write_snapshot(store, path)
-        text = path.read_text().replace("-1.0", "0.5")
-        path.write_text(text)
-        with pytest.raises(ParseError, match="cache_value"):
-            read_snapshot(path)
 
 
 # -- properties over random operation sequences ------------------------------
@@ -558,26 +469,6 @@ class TestStoreProperties:
         via_index = [(e.record.rid, e.distance) for e in store.query(query, width)]
         via_scan = [(e.record.rid, e.distance) for e in store.exact_knn(query, width)]
         assert via_index == via_scan
-
-    @_PROPERTY_SETTINGS
-    @given(ops=_OPS, query=_GRID_VECS)
-    def test_snapshot_round_trip_is_lossless(self, ops, query):
-        store = make_store(dim=_DIM, nlist=2, rebuild_every=4, seed=7)
-        _replay(store, ops)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "store.jsonl"
-            assert write_snapshot(store, path) == len(store)
-            back = read_snapshot(path, nlist=2, rebuild_every=4, seed=7)
-        assert [(r.rid, _fields(r)) for r in back.records()] == [
-            (r.rid, _fields(r)) for r in store.records()
-        ]
-        if len(store):
-            assert back.mean_cache_value() == store.mean_cache_value()
-        want = [(e.record.rid, e.distance) for e in store.exact_knn(query, 5)]
-        assert [(e.record.rid, e.distance) for e in back.exact_knn(query, 5)] == want
-        a = store.insert_qa(query, query, slot=99, initial_cache_value=-1.0)
-        assert back.insert_qa(query, query, slot=99, initial_cache_value=-1.0) == a
-        assert _fields(back.record(a[0])) == _fields(store.record(a[0]))
 
 
 @settings(max_examples=200, deadline=None)
