@@ -380,3 +380,22 @@ class TestAdam:
         for _ in range(300):
             opt.step(params, {"w": 2.0 * params["w"]})
         assert abs(params["w"][0]) < 1e-3
+
+
+class TestCheckpoints:
+    # A policy checkpoint is an in-memory ParamSet.copy (Trainer.snapshot):
+    # it must give back every tensor bit for bit, in memory of its own.
+    def test_round_trip_bitwise(self):
+        rng = np.random.default_rng(9)
+        ps = ParamSet({
+            "a.w": rng.normal(size=(3, 2)),
+            "a.b": np.array([-0.0, 5e-324, np.nan]),
+            "c": np.array(0.5),
+        })
+        back = ps.copy()
+        assert back.names() == ps.names()
+        for name in ps.names():
+            assert back[name].shape == ps[name].shape
+            assert back[name].dtype == np.float64
+            assert back[name].tobytes() == ps[name].tobytes()
+            assert not np.shares_memory(back[name], ps[name])
