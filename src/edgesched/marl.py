@@ -3,7 +3,9 @@
 All agents run one shared policy over their local observation (correlation
 features plus the question representation); a central value network scores
 the concatenated observations of every agent, in fixed server order.  Agents
-therefore train centrally but act on local information only.
+therefore train centrally but act on local information only.  PPO minibatches
+are whole slots, so the critic's global observations are mostly the
+minibatch's own questions and read the policy's encoded features.
 
 Expert demonstrations collected from a heuristic scheduler are mixed into
 early updates under a shrinking quota (pool size divided by the update
@@ -241,12 +243,18 @@ class NetBundle:
         an encoder).
         """
         lead = corr.shape[:-1]
-        feats = question.reshape(-1, question.shape[-1])
-        cache = None
-        if self.encoder is not None:
-            feats, cache = self.encoder.forward(params, feats)
+        feats, cache = self.encode(params, question.reshape(-1, question.shape[-1]))
         state = np.concatenate([corr.reshape(-1, corr.shape[-1]), feats], axis=1)
         return state.reshape(lead + (-1,)), cache
+
+    def encode(
+        self, params: ParamSet, question: np.ndarray
+    ) -> tuple[np.ndarray, dict | None]:
+        """``(rows, feature_dim)`` features and the encoder cache; without an
+        encoder the rows themselves and ``None``."""
+        if self.encoder is None:
+            return question, None
+        return self.encoder.forward(params, question)
 
 
 @dataclass
@@ -304,12 +312,14 @@ def ppo_loss(
     The objective is ``surrogate - value_coeff * value_mse +
     entropy_coeff * entropy`` and the returned loss is its negation.  The
     critic consumes encoded features as data: encoder gradients flow only
-    through the policy path.
+    through the policy path.  Each question is encoded once: a global row
+    whose bytes equal a policy row reads that row's features, and only the
+    rest (agents missing from a partial slot) take one more encoder pass.
     """
     B = len(batch)
     if B == 0:
         raise ConfigError("cannot compute a loss over an empty batch")
-    if np.any(batch.old_probs <= 0.0):
+    if not np.all(batch.old_probs > 0.0):  # NaN fails too
         raise ConfigError("recorded action probabilities must be positive")
     eps = cfg.clip_epsilon
     idx = np.arange(B)
@@ -329,7 +339,17 @@ def ppo_loss(
     entropy = float(-(probs * logp).sum(axis=1).mean())
 
     # Critic path; encoded features enter as constants (no encoder gradient).
-    gstate, _ = nets.states(policy_params, batch.global_corr, batch.global_question)
+    N = batch.global_question.shape[1]
+    rows = np.concatenate([batch.question, batch.global_question.reshape(B * N, -1)])
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    src = first[inverse[B:]]  # each global row's first equal row
+    feats = state[:, batch.corr.shape[1] :]
+    extra = np.unique(src[src >= B])
+    if len(extra):
+        feats = np.concatenate([feats, nets.encode(policy_params, rows[extra])[0]])
+        src = np.where(src < B, src, B + np.searchsorted(extra, src))
+    gstate = np.concatenate([batch.global_corr, feats[src].reshape(B, N, -1)], axis=2)
     values, v_cache = nets.value.forward(value_params, gstate.reshape(B, -1))
     v_err = values - batch.returns
     value_mse = float(np.mean(v_err**2))
@@ -365,6 +385,25 @@ def ppo_loss(
         entropy=entropy,
         clip_fraction=float(np.mean(~inside)),
     )
+
+
+def slot_minibatches(
+    slots: np.ndarray, size: int, rng: np.random.Generator
+) -> list[np.ndarray]:
+    """One epoch's minibatches of batch rows, each a union of whole slots.
+
+    ``slots`` holds each row's slot id.  The distinct slots are put in the
+    order of ``rng.permutation``, rows keep their batch order within a slot,
+    and a minibatch ends at the first slot start at or after each multiple
+    of ``size``.  With one row per slot, ids increasing, this is
+    ``rng.permutation(len(slots))`` cut every ``size`` rows.
+    """
+    _, slot_of = np.unique(slots, return_inverse=True)
+    key = np.argsort(rng.permutation(slot_of.max() + 1))[slot_of]  # slot ranks
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    at = np.searchsorted(starts, np.arange(size, len(order), size))
+    return np.split(order, np.unique(starts[at[at < len(starts)]]))
 
 
 @dataclass
@@ -491,7 +530,7 @@ class Trainer:
             return UpdateResult(status="insufficient")
 
         update = self.updates_done + 1  # 1-based: the demo quota's divisor
-        parts = [self._flatten_segment(seg) for seg in self.buffer.segments]
+        picks = [(seg, np.arange(seg.steps * seg.n_agents)) for seg in self.buffer.segments]
         quota = 0
         demo_count = 0
         if self.demos is not None and len(self.demos) > 0:
@@ -504,10 +543,14 @@ class Trainer:
                 for si, seg in enumerate(demos.segments):
                     rows = chosen[bounds[si] : bounds[si + 1]] - demos.starts[si]
                     if len(rows):
-                        parts.append(self._flatten_segment(seg, rows))
+                        picks.append((seg, rows))
                 demo_count = len(chosen)
 
-        batch = PpoBatch.concat(parts)
+        batch = PpoBatch.concat([self._flatten_segment(seg, rows) for seg, rows in picks])
+        ends = np.cumsum([seg.steps for seg, _ in picks])
+        slots = np.concatenate(
+            [end - seg.steps + rows // seg.n_agents for (seg, rows), end in zip(picks, ends)]
+        )
         adv = batch.advantages
         batch.advantages = (adv - adv.mean()) / (adv.std() + 1e-8)
 
@@ -515,9 +558,7 @@ class Trainer:
         stats = []  # per minibatch: the _LOSS_STATS, not the gradients
         for epoch in range(cfg.epochs):
             rng = substream(self.seed, DOMAIN_TRAINER, update, 1 + epoch)
-            order = rng.permutation(B)
-            for start in range(0, B, cfg.minibatch_size):
-                take = order[start : start + cfg.minibatch_size]
+            for take in slot_minibatches(slots, cfg.minibatch_size, rng):
                 result = ppo_loss(
                     self.nets,
                     self.policy_params,

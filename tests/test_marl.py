@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from edgesched import marl
 from edgesched.errors import ConfigError
 from edgesched.marl import (
     DemoSet,
@@ -19,6 +20,8 @@ from edgesched.marl import (
     ppo_loss,
 )
 from edgesched.nn import EncoderConfig, ParamSet
+from edgesched.nn.models import FeatureEncoder
+from edgesched.seeding import DOMAIN_TRAINER, substream
 from edgesched.nn.gradcheck import finite_difference_grads, gradient_relative_error
 
 
@@ -324,6 +327,16 @@ class TestPpoLoss:
                 batch, trainer.cfg,
             )
 
+    def test_rejects_nan_old_prob(self):
+        # a NaN passes a `<= 0` test; it must not reach Adam as a NaN gradient
+        trainer, batch = self.fresh_setup()
+        batch.old_probs[2] = np.nan
+        with pytest.raises(ConfigError, match="positive"):
+            ppo_loss(
+                trainer.nets, trainer.policy_params, trainer.value_params,
+                batch, trainer.cfg,
+            )
+
     def test_rejects_empty_batch(self):
         trainer, batch = self.fresh_setup()
         with pytest.raises(ConfigError):
@@ -581,6 +594,246 @@ class TestBatchRows:
             assert np.array_equal(
                 getattr(joined, f.name), np.concatenate([whole, whole[idx]])
             ), f.name
+
+
+SMALL_ENCODER = EncoderConfig(
+    input_dim=4, num_patches=2, num_blocks=1, num_heads=2, model_dim=4, feature_dim=3
+)
+
+
+def reference_ppo_loss(nets, policy_params, value_params, batch, cfg):
+    """The loss as first written: the critic re-encodes every global row."""
+    B = len(batch)
+    eps = cfg.clip_epsilon
+    idx = np.arange(B)
+    state, enc_cache = nets.states(policy_params, batch.corr, batch.question)
+    probs, pi_cache = nets.policy.forward(policy_params, state)
+    ratio = probs[idx, batch.actions] / batch.old_probs
+    clipped = np.clip(ratio, 1.0 - eps, 1.0 + eps)
+    s_raw = ratio * batch.advantages
+    s_clip = clipped * batch.advantages
+    take_raw = s_raw <= s_clip
+    surrogate = float(np.where(take_raw, s_raw, s_clip).mean())
+    logp = np.log(np.maximum(probs, 1e-300))
+    entropy = float(-(probs * logp).sum(axis=1).mean())
+    gstate, _ = nets.states(policy_params, batch.global_corr, batch.global_question)
+    values, v_cache = nets.value.forward(value_params, gstate.reshape(B, -1))
+    v_err = values - batch.returns
+    value_mse = float(np.mean(v_err**2))
+    loss = -(surrogate - cfg.value_coeff * value_mse + cfg.entropy_coeff * entropy)
+    inside = (ratio > 1.0 - eps) & (ratio < 1.0 + eps)
+    dsurr_dp = (
+        batch.advantages
+        * np.where(take_raw, 1.0, inside.astype(float))
+        / (B * batch.old_probs)
+    )
+    dobj_dprobs = np.zeros_like(probs)
+    dobj_dprobs[idx, batch.actions] += dsurr_dp
+    dobj_dprobs += cfg.entropy_coeff * (-(logp + 1.0) / B)
+    dstate, pol_grads = nets.policy.backward(policy_params, pi_cache, -dobj_dprobs)
+    if nets.encoder is not None:
+        dfeats = dstate[:, batch.corr.shape[1] :]
+        pol_grads.update(nets.encoder.backward(policy_params, enc_cache, dfeats)[1])
+    dv = cfg.value_coeff * 2.0 * v_err / B
+    _, val_grads = nets.value.backward(value_params, v_cache, dv)
+    return dict(
+        loss=loss, surrogate=surrogate, value_mse=value_mse, entropy=entropy,
+        clip_fraction=float(np.mean(~inside)), policy_grads=pol_grads,
+        value_grads=val_grads,
+    )
+
+
+def slot_major_batch(rng, present, copies=(), corr_dim=3, question_dim=4):
+    """Rows ``(s, n)`` where ``present[s, n]``, slot by slot, agents in order,
+    each with all of slot ``s`` as its global observation.  Each ``(src,
+    dst)`` in ``copies`` (flat ``s * N + n`` numbers) makes question ``dst`` a
+    copy of question ``src``."""
+    S, N = present.shape
+    corr = rng.normal(size=(S, N, corr_dim))
+    question = rng.normal(size=(S * N, question_dim))
+    for src, dst in copies:
+        question[dst] = question[src]
+    question = question.reshape(S, N, question_dim)
+    s, n = np.nonzero(present)
+    B = len(s)
+    return PpoBatch(
+        corr=corr[s, n],
+        question=question[s, n],
+        actions=rng.integers(0, 2, size=B),
+        old_probs=rng.uniform(0.1, 0.9, size=B),
+        advantages=rng.normal(size=B),
+        returns=rng.normal(size=B),
+        global_corr=corr[s],
+        global_question=question[s],
+    )
+
+
+class TestSlotMajorLoss:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        S=st.integers(1, 5),
+        N=st.integers(1, 4),
+        with_encoder=st.booleans(),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_matches_the_reference_formula(self, S, N, with_encoder, seed, data):
+        present = np.array(
+            data.draw(st.lists(st.booleans(), min_size=S * N, max_size=S * N)),
+            dtype=bool,
+        ).reshape(S, N)
+        present.flat[data.draw(st.integers(0, S * N - 1))] = True
+        copies = data.draw(
+            st.lists(st.tuples(st.integers(0, S * N - 1), st.integers(0, S * N - 1)))
+        )
+        rng = np.random.default_rng(seed)
+        trainer = make_trainer(
+            n_agents=N, encoder_cfg=SMALL_ENCODER if with_encoder else None
+        )
+        for params in (trainer.policy_params, trainer.value_params):
+            for tensor in params.tensors.values():
+                tensor += 0.3 * rng.normal(size=tensor.shape)
+        batch = slot_major_batch(rng, present, copies)
+        args = (trainer.nets, trainer.policy_params, trainer.value_params, batch, trainer.cfg)
+        got, want = ppo_loss(*args), reference_ppo_loss(*args)
+        for name in ("loss", "surrogate", "value_mse", "entropy", "clip_fraction"):
+            assert getattr(got, name) == pytest.approx(want[name], rel=1e-9, abs=0), name
+        for part in ("policy_grads", "value_grads"):
+            grads = getattr(got, part)
+            assert sorted(grads) == sorted(want[part])
+            for name, grad in grads.items():
+                np.testing.assert_allclose(grad, want[part][name], rtol=1e-9, err_msg=name)
+
+    def test_each_question_is_encoded_once(self, monkeypatch):
+        rows = {"forward": 0, "backward": 0}
+        forward, backward = FeatureEncoder.forward, FeatureEncoder.backward
+
+        def counted_forward(self, params, x):
+            rows["forward"] += x.shape[0]
+            return forward(self, params, x)
+
+        def counted_backward(self, params, cache, dfeats):
+            rows["backward"] += dfeats.shape[0]
+            return backward(self, params, cache, dfeats)
+
+        monkeypatch.setattr(FeatureEncoder, "forward", counted_forward)
+        monkeypatch.setattr(FeatureEncoder, "backward", counted_backward)
+        trainer = make_trainer(n_agents=3, encoder_cfg=SMALL_ENCODER)
+        rng = np.random.default_rng(4)
+
+        def loss_rows(present, copies=()):
+            rows.update(forward=0, backward=0)
+            batch = slot_major_batch(rng, present, copies)
+            ppo_loss(
+                trainer.nets, trainer.policy_params, trainer.value_params,
+                batch, trainer.cfg,
+            )
+            return rows["forward"], rows["backward"]
+
+        present = np.ones((5, 3), dtype=bool)
+        assert loss_rows(present) == (5 * 3, 5 * 3)
+        # missing agents of partial slots are encoded once more, without
+        # gradient: not at all when a present row holds the same question
+        # (5 copies 0), once for two equal missing questions (10 copies 9)
+        present[1, 2] = False
+        present[3, :2] = False
+        assert loss_rows(present) == (12 + 3, 12)
+        assert loss_rows(present, copies=[(0, 5), (9, 10)]) == (12 + 1, 12)
+
+
+def trained_minibatches(N, own_steps, demo_steps, updates_done, minibatch_size, seed):
+    """Run one ``train_update`` and return its batch's row keys and each
+    ``ppo_loss`` call's rows as batch positions, in call order.
+
+    Every transition's correlation features start with its (segment, slot,
+    agent) key, so rows can be traced back to their slot."""
+    rng = np.random.default_rng(seed)
+    segments = [random_segment(rng, T=T, N=N) for T in own_steps + demo_steps]
+    for k, seg in enumerate(segments):
+        seg.corr[:, :, 0] = k
+        seg.corr[:, :, 1] = np.arange(seg.steps)[:, None]
+        seg.corr[:, :, 2] = np.arange(N)
+    demos = DemoSet(segments[len(own_steps) :]) if demo_steps else None
+    trainer = make_trainer(
+        n_agents=N, demos=demos, seed=seed, min_agent_batch=1, min_demo_quota=0,
+        minibatch_size=minibatch_size, epochs=2,
+    )
+    trainer.buffer.segments = segments[: len(own_steps)]
+    trainer.updates_done = updates_done
+    batches, calls = [], []
+    concat, loss = PpoBatch.concat, marl.ppo_loss
+
+    def keep_batch(parts):
+        batches.append(concat(parts))
+        return batches[-1]
+
+    def keep_call(nets, policy_params, value_params, batch, cfg):
+        calls.append(batch.corr[:, :3].copy())
+        return loss(nets, policy_params, value_params, batch, cfg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PpoBatch, "concat", staticmethod(keep_batch))
+        mp.setattr(marl, "ppo_loss", keep_call)
+        assert trainer.train_update().status == "updated"
+    (batch,) = batches
+    keys = [tuple(row) for row in batch.corr[:, :3]]
+    assert len(set(keys)) == len(keys)
+    position = {key: i for i, key in enumerate(keys)}
+    return keys, [np.array([position[tuple(row)] for row in call]) for call in calls]
+
+
+class TestSlotMinibatches:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        N=st.integers(1, 4),
+        own_steps=st.lists(st.integers(1, 5), min_size=1, max_size=3).filter(
+            lambda steps: sum(steps) > 1
+        ),
+        demo_steps=st.lists(st.integers(1, 5), max_size=3),
+        updates_done=st.integers(0, 3),
+        minibatch_size=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+    )
+    def test_minibatches_are_whole_slots(
+        self, N, own_steps, demo_steps, updates_done, minibatch_size, seed
+    ):
+        keys, calls = trained_minibatches(
+            N, own_steps, demo_steps, updates_done, minibatch_size, seed
+        )
+        B = len(keys)
+        slot_of = [key[:2] for key in keys]
+        ends = [int(e) for e in np.cumsum([len(c) for c in calls])]
+        assert ends[-1] == 2 * B and B in ends
+        k = ends.index(B) + 1
+        for epoch in (calls[:k], calls[k:]):
+            order = np.concatenate(epoch)
+            assert sorted(order) == list(range(B))  # every row exactly once
+            for rows in epoch:
+                slots = dict.fromkeys(slot_of[r] for r in rows)
+                # whole slots, each slot's rows together and in batch order
+                whole = [r for slot in slots for r in range(B) if slot_of[r] == slot]
+                assert list(rows) == whole
+            # cut at the first slot start at or after each multiple of the size
+            slot_order = [slot_of[r] for r in order]
+            starts = [p for p in range(B) if p == 0 or slot_order[p] != slot_order[p - 1]]
+            cuts = {
+                min([q for q in starts if q >= m], default=B)
+                for m in range(minibatch_size, B, minibatch_size)
+            }
+            assert [int(e) for e in np.cumsum([len(c) for c in epoch])] == sorted(cuts | {B})
+
+    @pytest.mark.parametrize("demo_steps", [[], [6, 3]])
+    @pytest.mark.parametrize("minibatch_size", [1, 3, 8])
+    def test_one_agent_keeps_the_row_permutation(self, demo_steps, minibatch_size):
+        keys, calls = trained_minibatches(
+            1, [4, 5], demo_steps, 1, minibatch_size, seed=21
+        )
+        B = len(keys)
+        want = []
+        for epoch in range(2):
+            order = substream(21, DOMAIN_TRAINER, 2, 1 + epoch).permutation(B)
+            want += np.split(order, range(minibatch_size, B, minibatch_size))
+        assert [c.tolist() for c in calls] == [w.tolist() for w in want]
 
 
 class TestStates:
