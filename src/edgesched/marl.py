@@ -394,16 +394,17 @@ def slot_minibatches(
 
     ``slots`` holds each row's slot id.  The distinct slots are put in the
     order of ``rng.permutation``, rows keep their batch order within a slot,
-    and a minibatch ends at the first slot start at or after each multiple
-    of ``size``.  With one row per slot, ids increasing, this is
+    and a minibatch ends at the last slot start at or before each multiple
+    of ``size`` (``ceil(len(slots) / size)`` of them while ``size`` covers a
+    slot).  With one row per slot, ids increasing, this is
     ``rng.permutation(len(slots))`` cut every ``size`` rows.
     """
     _, slot_of = np.unique(slots, return_inverse=True)
     key = np.argsort(rng.permutation(slot_of.max() + 1))[slot_of]  # slot ranks
     order = np.argsort(key, kind="stable")
     starts = np.flatnonzero(np.diff(key[order], prepend=-1))
-    at = np.searchsorted(starts, np.arange(size, len(order), size))
-    return np.split(order, np.unique(starts[at[at < len(starts)]]))
+    cuts = starts[np.searchsorted(starts, np.arange(size, len(order), size), "right") - 1]
+    return np.split(order, np.unique(cuts[cuts > 0]))
 
 
 @dataclass

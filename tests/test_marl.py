@@ -813,14 +813,18 @@ class TestSlotMinibatches:
                 # whole slots, each slot's rows together and in batch order
                 whole = [r for slot in slots for r in range(B) if slot_of[r] == slot]
                 assert list(rows) == whole
-            # cut at the first slot start at or after each multiple of the size
+            # cut at the last slot start at or before each multiple of the size
             slot_order = [slot_of[r] for r in order]
             starts = [p for p in range(B) if p == 0 or slot_order[p] != slot_order[p - 1]]
             cuts = {
-                min([q for q in starts if q >= m], default=B)
+                max(q for q in starts if q <= m)
                 for m in range(minibatch_size, B, minibatch_size)
             }
-            assert [int(e) for e in np.cumsum([len(c) for c in epoch])] == sorted(cuts | {B})
+            assert [int(e) for e in np.cumsum([len(c) for c in epoch])] == sorted(
+                (cuts - {0}) | {B}
+            )
+            if minibatch_size >= N:  # no cut lost: as many calls as row chunks
+                assert len(epoch) == -(-B // minibatch_size)
 
     @pytest.mark.parametrize("demo_steps", [[], [6, 3]])
     @pytest.mark.parametrize("minibatch_size", [1, 3, 8])
