@@ -3,9 +3,9 @@
 All agents run one shared policy over their local observation (correlation
 features plus the question representation); a central value network scores
 the concatenated observations of every agent, in fixed server order.  Agents
-therefore train centrally but act on local information only.  PPO minibatches
-are whole slots, so the critic's global observations are mostly the
-minibatch's own questions and read the policy's encoded features.
+therefore train centrally but act on local information only.  A PPO batch
+holds each slot once, as a table, and each row is a cell of it; minibatches
+are whole slots, so the critic reads the policy's features for most cells.
 
 Expert demonstrations collected from a heuristic scheduler are mixed into
 early updates under a shrinking quota (pool size divided by the update
@@ -205,8 +205,8 @@ class DemoSet:
 
     Numbers run through the segments in order, and within a segment slot by
     slot, agent by agent: transition ``starts[s] + t * N + n`` is agent
-    ``n``'s step ``t`` of segment ``s``, the same row as in the segment's
-    flattened batch.
+    ``n``'s step ``t`` of segment ``s``.  A number is therefore also the
+    transition's cell in the segments' slots stacked in order.
     """
 
     def __init__(self, segments: list[Segment]):
@@ -259,7 +259,13 @@ class NetBundle:
 
 @dataclass
 class PpoBatch:
-    """Flattened agent-level samples plus each sample's global observation."""
+    """Agent-level samples plus the slot tables they observe.
+
+    Row ``i`` observes slot ``cell[i] // N`` of the global tables and is
+    that slot's agent ``cell[i] % N``, so its own observation is the
+    table's cell ``cell[i]``.  With ``cell = None`` row ``i`` observes slot
+    ``i`` and is none of its agents.
+    """
 
     corr: np.ndarray  # (B, corr_dim)
     question: np.ndarray  # (B, question_dim)
@@ -267,23 +273,25 @@ class PpoBatch:
     old_probs: np.ndarray  # (B,)
     advantages: np.ndarray  # (B,)
     returns: np.ndarray  # (B,)
-    global_corr: np.ndarray  # (B, N, corr_dim)
-    global_question: np.ndarray  # (B, N, question_dim)
+    global_corr: np.ndarray  # (S, N, corr_dim)
+    global_question: np.ndarray  # (S, N, question_dim)
+    cell: np.ndarray | None = None  # (B,)
 
     def __len__(self) -> int:
         return self.actions.shape[0]
 
-    def take(self, idx: np.ndarray) -> "PpoBatch":
-        return PpoBatch(**{f.name: getattr(self, f.name)[idx] for f in fields(self)})
-
-    @staticmethod
-    def concat(parts: list["PpoBatch"]) -> "PpoBatch":
-        return PpoBatch(
-            **{
-                f.name: np.concatenate([getattr(p, f.name) for p in parts])
-                for f in fields(PpoBatch)
-            }
-        )
+    def take(self, rows: np.ndarray) -> "PpoBatch":
+        """Rows ``rows`` with only the slots they observe, renumbered in the
+        order the rows first observe them."""
+        slots, cell = rows, None
+        if self.cell is not None:
+            N = self.global_corr.shape[1]
+            slot = self.cell[rows] // N
+            _, first, inverse = np.unique(slot, return_index=True, return_inverse=True)
+            order = np.argsort(first)
+            slots, cell = slot[first[order]], np.argsort(order)[inverse] * N + self.cell[rows] % N
+        per_row = (getattr(self, f.name)[rows] for f in fields(self)[:6])
+        return PpoBatch(*per_row, self.global_corr[slots], self.global_question[slots], cell)
 
 
 @dataclass
@@ -312,9 +320,10 @@ def ppo_loss(
     The objective is ``surrogate - value_coeff * value_mse +
     entropy_coeff * entropy`` and the returned loss is its negation.  The
     critic consumes encoded features as data: encoder gradients flow only
-    through the policy path.  Each question is encoded once: a global row
-    whose bytes equal a policy row reads that row's features, and only the
-    rest (agents missing from a partial slot) take one more encoder pass.
+    through the policy path.  Each cell of the slot tables is encoded once:
+    a policy row's features fill its cell, and only the cells no row holds
+    (agents missing from a partial slot) take one more encoder pass.  Each
+    row's global state is its slot's row of the filled table.
     """
     B = len(batch)
     if B == 0:
@@ -339,18 +348,19 @@ def ppo_loss(
     entropy = float(-(probs * logp).sum(axis=1).mean())
 
     # Critic path; encoded features enter as constants (no encoder gradient).
-    N = batch.global_question.shape[1]
-    rows = np.concatenate([batch.question, batch.global_question.reshape(B * N, -1)])
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    src = first[inverse[B:]]  # each global row's first equal row
+    S, N = batch.global_question.shape[:2]
     feats = state[:, batch.corr.shape[1] :]
-    extra = np.unique(src[src >= B])
-    if len(extra):
-        feats = np.concatenate([feats, nets.encode(policy_params, rows[extra])[0]])
-        src = np.where(src < B, src, B + np.searchsorted(extra, src))
-    gstate = np.concatenate([batch.global_corr, feats[src].reshape(B, N, -1)], axis=2)
-    values, v_cache = nets.value.forward(value_params, gstate.reshape(B, -1))
+    table = np.empty((S * N, feats.shape[1]))
+    missing = np.ones(S * N, dtype=bool)
+    if batch.cell is not None:
+        table[batch.cell] = feats
+        missing[batch.cell] = False
+    if missing.any():
+        questions = batch.global_question.reshape(S * N, -1)[missing]
+        table[missing] = nets.encode(policy_params, questions)[0]
+    gstate = np.concatenate([batch.global_corr, table.reshape(S, N, -1)], axis=2)
+    slot = idx if batch.cell is None else batch.cell // N
+    values, v_cache = nets.value.forward(value_params, gstate.reshape(S, -1)[slot])
     v_err = values - batch.returns
     value_mse = float(np.mean(v_err**2))
 
@@ -488,34 +498,6 @@ class Trainer:
         gstate = states.reshape(len(corr), -1)
         return self.nets.value.forward(self.value_params, gstate)[0]
 
-    # -- batch assembly ----------------------------------------------------
-
-    def _flatten_segment(self, seg: Segment, rows=None) -> PpoBatch:
-        """Batch rows ``rows`` (all by default) of one segment: row
-        ``t * N + n`` is agent ``n``'s step ``t``, with all of slot ``t`` as
-        its global observation.  GAE runs over the whole segment under the
-        current critic whichever rows are taken."""
-        T, N = seg.steps, seg.n_agents
-        corr_all = np.concatenate([seg.corr, seg.final_corr[None]], axis=0)
-        q_all = np.concatenate([seg.question, seg.final_question[None]], axis=0)
-        values = self.values_of(corr_all, q_all)  # (T+1,)
-        gamma, lam = self.cfg.gamma, self.cfg.gae_lambda
-        adv = np.column_stack(
-            [compute_gae(r, values[:T], values[T], gamma, lam) for r in seg.rewards.T]
-        )
-        returns = adv + values[:T, None]
-        t, n = np.divmod(np.arange(T * N) if rows is None else rows, N)
-        return PpoBatch(
-            corr=seg.corr[t, n],
-            question=seg.question[t, n],
-            actions=seg.actions[t, n],
-            old_probs=seg.probs[t, n],
-            advantages=adv[t, n],
-            returns=returns[t, n],
-            global_corr=seg.corr[t],
-            global_question=seg.question[t],
-        )
-
     # -- the update --------------------------------------------------------
 
     def train_update(self) -> UpdateResult:
@@ -527,39 +509,31 @@ class Trainer:
         the result reports ``insufficient``.
         """
         cfg = self.cfg
-        if sum(seg.steps for seg in self.buffer.segments) <= cfg.min_agent_batch:
+        segments = list(self.buffer.segments)
+        cell = np.arange(sum(seg.steps for seg in segments) * self.n_agents)
+        if len(cell) <= cfg.min_agent_batch * self.n_agents:
             return UpdateResult(status="insufficient")
 
         update = self.updates_done + 1  # 1-based: the demo quota's divisor
-        picks = [(seg, np.arange(seg.steps * seg.n_agents)) for seg in self.buffer.segments]
         quota = 0
         demo_count = 0
-        if self.demos is not None and len(self.demos) > 0:
-            demos = self.demos
-            quota = expert_quota(len(demos), update)
+        if self.demos is not None:
+            quota = expert_quota(len(self.demos), update)
             if quota > cfg.min_demo_quota:
                 rng = substream(self.seed, DOMAIN_TRAINER, update, 0)
-                chosen = demos.sample(quota, rng)
-                bounds = np.searchsorted(chosen, demos.starts)
-                for si, seg in enumerate(demos.segments):
-                    rows = chosen[bounds[si] : bounds[si + 1]] - demos.starts[si]
-                    if len(rows):
-                        picks.append((seg, rows))
+                chosen = self.demos.sample(quota, rng)
+                cell = np.concatenate([cell, len(cell) + chosen])
+                segments += self.demos.segments
                 demo_count = len(chosen)
 
-        batch = PpoBatch.concat([self._flatten_segment(seg, rows) for seg, rows in picks])
-        ends = np.cumsum([seg.steps for seg, _ in picks])
-        slots = np.concatenate(
-            [end - seg.steps + rows // seg.n_agents for (seg, rows), end in zip(picks, ends)]
-        )
+        batch = self._batch(segments, cell)
         adv = batch.advantages
         batch.advantages = (adv - adv.mean()) / (adv.std() + 1e-8)
 
-        B = len(batch)
         stats = []  # per minibatch: the _LOSS_STATS, not the gradients
         for epoch in range(cfg.epochs):
             rng = substream(self.seed, DOMAIN_TRAINER, update, 1 + epoch)
-            for take in slot_minibatches(slots, cfg.minibatch_size, rng):
+            for take in slot_minibatches(cell // self.n_agents, cfg.minibatch_size, rng):
                 result = ppo_loss(
                     self.nets,
                     self.policy_params,
@@ -575,13 +549,39 @@ class Trainer:
         self.buffer.clear_pool()
         out = UpdateResult(
             status="updated",
-            batch_size=B,
+            batch_size=len(batch),
             demo_count=demo_count,
             demo_quota=quota,
             **{f: float(np.mean(col)) for f, col in zip(_LOSS_STATS, zip(*stats))},
         )
         self.history.append(out)
         return out
+
+    def _batch(self, segments: list[Segment], cell: np.ndarray) -> PpoBatch:
+        """The update's batch over ``segments``' slots stacked in order: row
+        ``i`` is cell ``cell[i]``.  GAE runs under the current critic over
+        each whole segment that holds a row, and over no other."""
+        corr, question, actions, probs = (
+            np.concatenate([getattr(seg, name) for seg in segments])
+            for name in ("corr", "question", "actions", "probs")
+        )
+        adv, returns = np.zeros_like(probs), np.zeros_like(probs)
+        held = np.bincount(cell // self.n_agents, minlength=len(probs)) > 0
+        gamma, lam = self.cfg.gamma, self.cfg.gae_lambda
+        for seg, end in zip(segments, np.cumsum([seg.steps for seg in segments])):
+            steps = slice(end - seg.steps, end)
+            if held[steps].any():
+                values = self.values_of(
+                    np.concatenate([seg.corr, seg.final_corr[None]]),
+                    np.concatenate([seg.question, seg.final_question[None]]),
+                )  # (T+1,)
+                adv[steps] = np.column_stack(
+                    [compute_gae(r, values[:-1], values[-1], gamma, lam) for r in seg.rewards.T]
+                )
+                returns[steps] = adv[steps] + values[:-1, None]
+        t, n = np.divmod(cell, self.n_agents)
+        per_row = (table[t, n] for table in (corr, question, actions, probs, adv, returns))
+        return PpoBatch(*per_row, corr, question, cell)
 
 
 class RolloutDriver:

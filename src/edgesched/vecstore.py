@@ -394,15 +394,6 @@ class VectorStore:
 
     # -- pair lookups ------------------------------------------------------
 
-    def pair_partner(self, record: VectorRecord) -> VectorRecord | None:
-        """The other half of the record's pair, if it still exists."""
-        want = (
-            RecordKind.ANSWER
-            if record.kind == RecordKind.QUESTION
-            else RecordKind.QUESTION
-        )
-        return self.pair_record(record.pair_id, want)
-
     def pair_record(self, pair_id: int, kind: RecordKind) -> VectorRecord | None:
         # Pair ids grow with rid, so the (at most two) rows of a pair are
         # adjacent and sorted by pair id.

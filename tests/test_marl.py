@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgesched import marl
 from edgesched.errors import ConfigError
 from edgesched.marl import (
     DemoSet,
@@ -338,12 +337,25 @@ class TestPpoLoss:
             )
 
     def test_rejects_empty_batch(self):
-        trainer, batch = self.fresh_setup()
-        with pytest.raises(ConfigError):
-            ppo_loss(
-                trainer.nets, trainer.policy_params, trainer.value_params,
-                batch.take(np.array([], dtype=int)), trainer.cfg,
+        trainer = make_trainer()
+        # no rows: with cell = None no slot either; with cells, one slot
+        for S, cell in ((0, None), (1, np.zeros(0, dtype=int))):
+            empty = PpoBatch(
+                corr=np.zeros((0, 3)),
+                question=np.zeros((0, 4)),
+                actions=np.zeros(0, dtype=int),
+                old_probs=np.zeros(0),
+                advantages=np.zeros(0),
+                returns=np.zeros(0),
+                global_corr=np.zeros((S, 2, 3)),
+                global_question=np.zeros((S, 2, 4)),
+                cell=cell,
             )
+            with pytest.raises(ConfigError, match="empty"):
+                ppo_loss(
+                    trainer.nets, trainer.policy_params, trainer.value_params,
+                    empty, trainer.cfg,
+                )
 
     def perturbed(self, trainer, rng, scale=0.2):
         pol = {
@@ -506,94 +518,146 @@ class TestTrainer:
         assert np.array_equal(outs[0], outs[1])
 
 
-def flatten_whole_segment(trainer, seg):
-    """Reference: every row of one segment as a batch, each row's global
-    observation a broadcast copy of its slot.  ``_flatten_segment(seg,
-    rows)`` must equal this followed by ``.take(rows)``."""
-    T, N = seg.steps, seg.n_agents
-    corr_all = np.concatenate([seg.corr, seg.final_corr[None]], axis=0)
-    q_all = np.concatenate([seg.question, seg.final_question[None]], axis=0)
-    values = trainer.values_of(corr_all, q_all)
-    cfg = trainer.cfg
-    adv = np.stack(
-        [
-            compute_gae(seg.rewards[:, n], values[:T], values[T], cfg.gamma, cfg.gae_lambda)
-            for n in range(N)
-        ],
-        axis=1,
+def run_update(N, own_steps, demo_steps, updates_done, minibatch_size, seed):
+    """Run one ``train_update`` over fresh own and demo segments.
+
+    Every transition's correlation features start with its (segment, slot,
+    agent) key, so rows can be traced back to their slot.  Returns the
+    segments (own first), the update's result, the batch its minibatches
+    are taken from, each minibatch's rows as batch positions in call order,
+    each segment's critic values before the update, and the slot count of
+    every ``values_of`` call the update made."""
+    rng = np.random.default_rng(seed)
+    segments = [random_segment(rng, T=T, N=N) for T in own_steps + demo_steps]
+    for k, seg in enumerate(segments):
+        seg.corr[:, :, 0] = k
+        seg.corr[:, :, 1] = np.arange(seg.steps)[:, None]
+        seg.corr[:, :, 2] = np.arange(N)
+        seg.probs = rng.uniform(0.1, 0.9, size=(seg.steps, N))
+    demos = DemoSet(segments[len(own_steps) :]) if demo_steps else None
+    trainer = make_trainer(
+        n_agents=N, demos=demos, seed=seed, min_agent_batch=1, min_demo_quota=0,
+        minibatch_size=minibatch_size, epochs=2,
     )
-    returns = adv + values[:T, None]
-    gcorr = np.broadcast_to(
-        seg.corr[:, None, :, :], (T, N) + seg.corr.shape[1:]
-    ).reshape(T * N, N, -1)
-    gq = np.broadcast_to(
-        seg.question[:, None, :, :], (T, N) + seg.question.shape[1:]
-    ).reshape(T * N, N, -1)
-    return PpoBatch(
-        corr=seg.corr.reshape(T * N, -1),
-        question=seg.question.reshape(T * N, -1),
-        actions=seg.actions.ravel(),
-        old_probs=seg.probs.ravel(),
-        advantages=adv.ravel(),
-        returns=returns.ravel(),
-        global_corr=np.ascontiguousarray(gcorr),
-        global_question=np.ascontiguousarray(gq),
-    )
+    for tensor in trainer.value_params.tensors.values():
+        tensor += rng.normal(size=tensor.shape)  # a critic with nonzero values
+    trainer.buffer.segments = segments[: len(own_steps)]
+    trainer.updates_done = updates_done
+    values = [
+        trainer.values_of(
+            np.concatenate([seg.corr, seg.final_corr[None]]),
+            np.concatenate([seg.question, seg.final_question[None]]),
+        )
+        for seg in segments
+    ]
+    batches, calls, critic_slots = [], [], []
+    take, values_of = PpoBatch.take, Trainer.values_of
+
+    def keep_take(batch, rows):
+        batches.append(batch)
+        calls.append(np.array(rows))
+        return take(batch, rows)
+
+    def keep_values(self, corr, question):
+        critic_slots.append(len(corr))
+        return values_of(self, corr, question)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PpoBatch, "take", keep_take)
+        mp.setattr(Trainer, "values_of", keep_values)
+        result = trainer.train_update()
+    assert result.status == "updated"
+    assert all(b is batches[0] for b in batches)
+    return segments, result, batches[0], calls, values, critic_slots
 
 
-def assert_same_bits(got, want):
-    for f in fields(PpoBatch):
-        a, b = getattr(got, f.name), getattr(want, f.name)
-        assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
-        assert a.tobytes() == b.tobytes(), f.name
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestBatchRows:
     @settings(max_examples=60, deadline=None)
     @given(
-        T=st.integers(1, 6),
         N=st.integers(1, 4),
-        corr_dim=st.integers(1, 4),
-        question_dim=st.integers(1, 5),
+        own_steps=st.lists(st.integers(1, 5), min_size=1, max_size=3).filter(
+            lambda steps: sum(steps) > 1
+        ),
+        demo_steps=st.lists(st.integers(1, 5), max_size=3),
+        updates_done=st.integers(0, 3),
         seed=st.integers(0, 2**16),
+    )
+    def test_rows_hold_their_cells(self, N, own_steps, demo_steps, updates_done, seed):
+        segments, result, batch, _, values, critic_slots = run_update(
+            N, own_steps, demo_steps, updates_done, 4, seed
+        )
+        tables = segments if result.demo_count else segments[: len(own_steps)]
+        where = [(k, t) for k, seg in enumerate(tables) for t in range(seg.steps)]
+        own = sum(own_steps) * N
+        cell = batch.cell
+        assert len(batch) == len(cell) == result.batch_size == own + result.demo_count
+        assert np.array_equal(cell[:own], np.arange(own))  # own rows, in order
+        assert np.all(np.diff(cell) > 0) and cell[-1] < len(where) * N  # demo cells
+        assert batch.global_corr.shape[:2] == batch.global_question.shape[:2] == (len(where), N)
+        cfg = small_cfg()
+        raw = np.empty(len(batch))
+        for i, c in enumerate(cell):
+            (k, t), n = where[c // N], c % N
+            seg, v = tables[k], values[k]
+            assert same_bits(batch.corr[i], seg.corr[t, n])
+            assert same_bits(batch.question[i], seg.question[t, n])
+            assert batch.actions[i] == seg.actions[t, n]
+            assert batch.old_probs[i] == seg.probs[t, n]
+            assert same_bits(batch.global_corr[c // N], seg.corr[t])  # its slot
+            assert same_bits(batch.global_question[c // N], seg.question[t])
+            gae = compute_gae(seg.rewards[:, n], v[:-1], v[-1], cfg.gamma, cfg.gae_lambda)
+            raw[i] = gae[t]
+            assert batch.returns[i] == gae[t] + v[t]
+        # the update normalises the raw advantages, each its segment's GAE
+        assert same_bits(batch.advantages, (raw - raw.mean()) / (raw.std() + 1e-8))
+        # the critic scores exactly the segments that hold a row, in order
+        held = sorted({where[c // N][0] for c in cell})
+        assert critic_slots == [tables[k].steps + 1 for k in held]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        S=st.integers(1, 5),
+        N=st.integers(1, 3),
+        with_cells=st.booleans(),
         data=st.data(),
     )
-    def test_row_gather_matches_whole_segment_take(
-        self, T, N, corr_dim, question_dim, seed, data
-    ):
-        rng = np.random.default_rng(seed)
-        trainer = make_trainer(n_agents=N, corr_dim=corr_dim, question_dim=question_dim)
-        for tensor in trainer.value_params.tensors.values():
-            tensor += rng.normal(size=tensor.shape)  # a critic with nonzero values
-        seg = random_segment(rng, T=T, N=N, corr_dim=corr_dim, question_dim=question_dim)
-        seg.probs = rng.uniform(0.1, 0.9, size=(T, N))
-        rows = data.draw(
-            st.lists(st.integers(0, T * N - 1), min_size=1, unique=True).map(sorted),
-            label="rows",
+    def test_take_keeps_the_observed_slots(self, S, N, with_cells, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        cell = np.array(
+            data.draw(st.lists(st.integers(0, S * N - 1), min_size=1, unique=True))
         )
-        rows = np.array(rows)
-        whole = flatten_whole_segment(trainer, seg)
-        assert_same_bits(trainer._flatten_segment(seg), whole)
-        assert_same_bits(trainer._flatten_segment(seg, rows), whole.take(rows))
-
-    def test_take_and_concat_carry_every_field(self):
-        B = 4
+        B = len(cell)
         batch = PpoBatch(
-            **{
-                f.name: np.arange(B * 3.0).reshape(B, 3) + 100 * i
-                for i, f in enumerate(fields(PpoBatch))
-            }
+            corr=rng.normal(size=(B, 3)),
+            question=rng.normal(size=(B, 4)),
+            actions=rng.integers(0, 2, size=B),
+            old_probs=rng.uniform(0.1, 0.9, size=B),
+            advantages=rng.normal(size=B),
+            returns=rng.normal(size=B),
+            global_corr=rng.normal(size=(B if not with_cells else S, N, 3)),
+            global_question=rng.normal(size=(B if not with_cells else S, N, 4)),
+            cell=cell if with_cells else None,
         )
-        idx = np.array([3, 0, 3])
-        taken = batch.take(idx)
-        joined = PpoBatch.concat([batch, taken])
-        assert len(fields(PpoBatch)) == 8
-        for f in fields(PpoBatch):
-            whole = getattr(batch, f.name)
-            assert np.array_equal(getattr(taken, f.name), whole[idx]), f.name
-            assert np.array_equal(
-                getattr(joined, f.name), np.concatenate([whole, whole[idx]])
-            ), f.name
+        rows = np.array(data.draw(st.lists(st.integers(0, B - 1), max_size=2 * B)), dtype=int)
+        taken = batch.take(rows)
+        for f in fields(PpoBatch)[:6]:
+            assert same_bits(getattr(taken, f.name), getattr(batch, f.name)[rows]), f.name
+        if not with_cells:  # row i keeps observing its own slot
+            assert taken.cell is None
+            assert same_bits(taken.global_corr, batch.global_corr[rows])
+            assert same_bits(taken.global_question, batch.global_question[rows])
+            return
+        old_slot, new_slot = batch.cell[rows] // N, taken.cell // N
+        assert np.array_equal(taken.cell % N, batch.cell[rows] % N)
+        assert same_bits(taken.global_corr[new_slot], batch.global_corr[old_slot])
+        assert same_bits(taken.global_question[new_slot], batch.global_question[old_slot])
+        # only the observed slots, numbered in the order rows first observe them
+        assert list(dict.fromkeys(new_slot.tolist())) == list(range(len(taken.global_corr)))
+        assert taken.global_question.shape[0] == len(set(old_slot.tolist()))
 
 
 SMALL_ENCODER = EncoderConfig(
@@ -602,7 +666,7 @@ SMALL_ENCODER = EncoderConfig(
 
 
 def reference_ppo_loss(nets, policy_params, value_params, batch, cfg):
-    """The loss as first written: the critic re-encodes every global row."""
+    """The loss as first written: the critic re-encodes each row's whole slot."""
     B = len(batch)
     eps = cfg.clip_epsilon
     idx = np.arange(B)
@@ -616,7 +680,8 @@ def reference_ppo_loss(nets, policy_params, value_params, batch, cfg):
     surrogate = float(np.where(take_raw, s_raw, s_clip).mean())
     logp = np.log(np.maximum(probs, 1e-300))
     entropy = float(-(probs * logp).sum(axis=1).mean())
-    gstate, _ = nets.states(policy_params, batch.global_corr, batch.global_question)
+    slot = idx if batch.cell is None else batch.cell // batch.global_corr.shape[1]
+    gstate, _ = nets.states(policy_params, batch.global_corr[slot], batch.global_question[slot])
     values, v_cache = nets.value.forward(value_params, gstate.reshape(B, -1))
     v_err = values - batch.returns
     value_mse = float(np.mean(v_err**2))
@@ -643,28 +708,36 @@ def reference_ppo_loss(nets, policy_params, value_params, batch, cfg):
     )
 
 
-def slot_major_batch(rng, present, copies=(), corr_dim=3, question_dim=4):
-    """Rows ``(s, n)`` where ``present[s, n]``, slot by slot, agents in order,
-    each with all of slot ``s`` as its global observation.  Each ``(src,
-    dst)`` in ``copies`` (flat ``s * N + n`` numbers) makes question ``dst`` a
-    copy of question ``src``."""
+def slot_major_batch(rng, present, copies=(), cells=True, corr_dim=3, question_dim=4):
+    """Slot tables ``(S, N, dim)`` and one row per cell ``(s, n)`` where
+    ``present[s, n]``, rows in a random order.  Each ``(src, dst)`` in
+    ``copies`` (flat ``s * N + n`` numbers) makes question ``dst`` a copy of
+    question ``src``.  With ``cells=False`` the rows keep their values but
+    the batch takes ``cell = None`` and ``(B, N, dim)`` global tables that
+    are unrelated to the rows, as in the acceptance gradient check."""
     S, N = present.shape
-    corr = rng.normal(size=(S, N, corr_dim))
+    corr = rng.normal(size=(S * N, corr_dim))
     question = rng.normal(size=(S * N, question_dim))
     for src, dst in copies:
         question[dst] = question[src]
-    question = question.reshape(S, N, question_dim)
-    s, n = np.nonzero(present)
-    B = len(s)
+    cell = rng.permutation(np.flatnonzero(present.ravel()))
+    B = len(cell)
+    if cells:
+        global_corr = corr.reshape(S, N, corr_dim)
+        global_question = question.reshape(S, N, question_dim)
+    else:
+        global_corr = rng.normal(size=(B, N, corr_dim))
+        global_question = rng.normal(size=(B, N, question_dim))
     return PpoBatch(
-        corr=corr[s, n],
-        question=question[s, n],
+        corr=corr[cell],
+        question=question[cell],
         actions=rng.integers(0, 2, size=B),
         old_probs=rng.uniform(0.1, 0.9, size=B),
         advantages=rng.normal(size=B),
         returns=rng.normal(size=B),
-        global_corr=corr[s],
-        global_question=question[s],
+        global_corr=global_corr,
+        global_question=global_question,
+        cell=cell if cells else None,
     )
 
 
@@ -674,10 +747,11 @@ class TestSlotMajorLoss:
         S=st.integers(1, 5),
         N=st.integers(1, 4),
         with_encoder=st.booleans(),
+        cells=st.booleans(),
         seed=st.integers(0, 2**16),
         data=st.data(),
     )
-    def test_matches_the_reference_formula(self, S, N, with_encoder, seed, data):
+    def test_matches_the_reference_formula(self, S, N, with_encoder, cells, seed, data):
         present = np.array(
             data.draw(st.lists(st.booleans(), min_size=S * N, max_size=S * N)),
             dtype=bool,
@@ -693,7 +767,7 @@ class TestSlotMajorLoss:
         for params in (trainer.policy_params, trainer.value_params):
             for tensor in params.tensors.values():
                 tensor += 0.3 * rng.normal(size=tensor.shape)
-        batch = slot_major_batch(rng, present, copies)
+        batch = slot_major_batch(rng, present, copies, cells)
         args = (trainer.nets, trainer.policy_params, trainer.value_params, batch, trainer.cfg)
         got, want = ppo_loss(*args), reference_ppo_loss(*args)
         for name in ("loss", "surrogate", "value_mse", "entropy", "clip_fraction"):
@@ -721,9 +795,9 @@ class TestSlotMajorLoss:
         trainer = make_trainer(n_agents=3, encoder_cfg=SMALL_ENCODER)
         rng = np.random.default_rng(4)
 
-        def loss_rows(present, copies=()):
+        def loss_rows(present, copies=(), cells=True):
             rows.update(forward=0, backward=0)
-            batch = slot_major_batch(rng, present, copies)
+            batch = slot_major_batch(rng, present, copies, cells)
             ppo_loss(
                 trainer.nets, trainer.policy_params, trainer.value_params,
                 batch, trainer.cfg,
@@ -733,53 +807,15 @@ class TestSlotMajorLoss:
         present = np.ones((5, 3), dtype=bool)
         assert loss_rows(present) == (5 * 3, 5 * 3)
         # missing agents of partial slots are encoded once more, without
-        # gradient: not at all when a present row holds the same question
-        # (5 copies 0), once for two equal missing questions (10 copies 9)
+        # gradient, once per cell: a missing cell whose question equals a
+        # present row's (5 copies 0) or another missing cell's (10 copies 9)
+        # is still encoded
         present[1, 2] = False
         present[3, :2] = False
         assert loss_rows(present) == (12 + 3, 12)
-        assert loss_rows(present, copies=[(0, 5), (9, 10)]) == (12 + 1, 12)
-
-
-def trained_minibatches(N, own_steps, demo_steps, updates_done, minibatch_size, seed):
-    """Run one ``train_update`` and return its batch's row keys and each
-    ``ppo_loss`` call's rows as batch positions, in call order.
-
-    Every transition's correlation features start with its (segment, slot,
-    agent) key, so rows can be traced back to their slot."""
-    rng = np.random.default_rng(seed)
-    segments = [random_segment(rng, T=T, N=N) for T in own_steps + demo_steps]
-    for k, seg in enumerate(segments):
-        seg.corr[:, :, 0] = k
-        seg.corr[:, :, 1] = np.arange(seg.steps)[:, None]
-        seg.corr[:, :, 2] = np.arange(N)
-    demos = DemoSet(segments[len(own_steps) :]) if demo_steps else None
-    trainer = make_trainer(
-        n_agents=N, demos=demos, seed=seed, min_agent_batch=1, min_demo_quota=0,
-        minibatch_size=minibatch_size, epochs=2,
-    )
-    trainer.buffer.segments = segments[: len(own_steps)]
-    trainer.updates_done = updates_done
-    batches, calls = [], []
-    concat, loss = PpoBatch.concat, marl.ppo_loss
-
-    def keep_batch(parts):
-        batches.append(concat(parts))
-        return batches[-1]
-
-    def keep_call(nets, policy_params, value_params, batch, cfg):
-        calls.append(batch.corr[:, :3].copy())
-        return loss(nets, policy_params, value_params, batch, cfg)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(PpoBatch, "concat", staticmethod(keep_batch))
-        mp.setattr(marl, "ppo_loss", keep_call)
-        assert trainer.train_update().status == "updated"
-    (batch,) = batches
-    keys = [tuple(row) for row in batch.corr[:, :3]]
-    assert len(set(keys)) == len(keys)
-    position = {key: i for i, key in enumerate(keys)}
-    return keys, [np.array([position[tuple(row)] for row in call]) for call in calls]
+        assert loss_rows(present, copies=[(0, 5), (9, 10)]) == (12 + 3, 12)
+        # with cell = None no row is a cell: each row's slot is encoded whole
+        assert loss_rows(present, cells=False) == (12 + 12 * 3, 12)
 
 
 class TestSlotMinibatches:
@@ -797,11 +833,11 @@ class TestSlotMinibatches:
     def test_minibatches_are_whole_slots(
         self, N, own_steps, demo_steps, updates_done, minibatch_size, seed
     ):
-        keys, calls = trained_minibatches(
+        _, _, batch, calls, _, _ = run_update(
             N, own_steps, demo_steps, updates_done, minibatch_size, seed
         )
-        B = len(keys)
-        slot_of = [key[:2] for key in keys]
+        B = len(batch)
+        slot_of = [tuple(key) for key in batch.corr[:, :2]]  # (segment, slot)
         ends = [int(e) for e in np.cumsum([len(c) for c in calls])]
         assert ends[-1] == 2 * B and B in ends
         k = ends.index(B) + 1
@@ -829,10 +865,8 @@ class TestSlotMinibatches:
     @pytest.mark.parametrize("demo_steps", [[], [6, 3]])
     @pytest.mark.parametrize("minibatch_size", [1, 3, 8])
     def test_one_agent_keeps_the_row_permutation(self, demo_steps, minibatch_size):
-        keys, calls = trained_minibatches(
-            1, [4, 5], demo_steps, 1, minibatch_size, seed=21
-        )
-        B = len(keys)
+        _, _, batch, calls, _, _ = run_update(1, [4, 5], demo_steps, 1, minibatch_size, seed=21)
+        B = len(batch)
         want = []
         for epoch in range(2):
             order = substream(21, DOMAIN_TRAINER, 2, 1 + epoch).permutation(B)

@@ -67,9 +67,8 @@ class TestInsertAndPairs:
         assert rq.freq == 0 and ra.freq == 0
         assert rq.inserted_at == 3
         # records are copies of store rows, so they compare by rid
-        assert store.pair_partner(rq).rid == ra.rid
-        assert store.pair_partner(ra).rid == rq.rid
         assert store.pair_record(rq.pair_id, RecordKind.ANSWER).rid == ra.rid
+        assert store.pair_record(ra.pair_id, RecordKind.QUESTION).rid == rq.rid
 
     def test_initial_value_clamped_negative(self):
         store = make_store()
@@ -303,7 +302,8 @@ class TestEviction:
         store.insert_qa(np.eye(16)[0], np.eye(16)[1], slot=0, initial_cache_value=-5.0)
         keep_q, keep_a = store.insert_qa(np.eye(16)[2], np.eye(16)[3], slot=0, initial_cache_value=-1.0)
         store.evict(slot=1)
-        assert store.pair_partner(store.record(keep_q)).rid == keep_a
+        pair_id = store.record(keep_q).pair_id
+        assert store.pair_record(pair_id, RecordKind.ANSWER).rid == keep_a
         assert len(store) == 2
 
     def test_queries_exclude_evicted(self):
@@ -373,9 +373,14 @@ def _fields(rec):
     return [rec.vec.tolist(), rec.kind, rec.freq, rec.cache_value, rec.inserted_at, rec.pair_id]
 
 
+def _partner(store, rec):
+    other = RecordKind.ANSWER if rec.kind == RecordKind.QUESTION else RecordKind.QUESTION
+    return store.pair_record(rec.pair_id, other)
+
+
 def _check_pairs(store, model):
     for rec in store.records():
-        partner = store.pair_partner(rec)
+        partner = _partner(store, rec)
         want = [
             rid
             for rid, m in model.items()
@@ -386,7 +391,7 @@ def _check_pairs(store, model):
         else:
             assert partner.rid == want[0]
             assert partner.pair_id == rec.pair_id and partner.kind != rec.kind
-            assert store.pair_partner(partner).rid == rec.rid
+            assert _partner(store, partner).rid == rec.rid
 
 
 def _replay(store, ops, on_evict=None):
