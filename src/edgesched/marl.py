@@ -23,7 +23,13 @@ import numpy as np
 from .errors import ConfigError
 from .nn.models import EncoderConfig, FeatureEncoder, PolicyNet, ValueNet
 from .nn.params import Adam, ParamSet
-from .seeding import DOMAIN_PARAMS, DOMAIN_POLICY, DOMAIN_TRAINER, substream
+from .seeding import (
+    DOMAIN_PARAMS,
+    DOMAIN_POLICY,
+    DOMAIN_TRAINER,
+    KeyedStreams,
+    substream,
+)
 
 log = logging.getLogger(__name__)
 
@@ -594,6 +600,7 @@ class RolloutDriver:
     def __init__(self, trainer: Trainer):
         self.trainer = trainer
         self.snapshot = trainer.snapshot()
+        self._streams = KeyedStreams(trainer.seed, DOMAIN_POLICY, trainer.n_agents)
 
     def begin_slot(
         self, corr: np.ndarray, question: np.ndarray
@@ -623,7 +630,7 @@ class RolloutDriver:
         actions = np.zeros(n_agents, dtype=int)
         probs = np.zeros(n_agents)
         for n in range(n_agents):
-            rng = substream(self.trainer.seed, DOMAIN_POLICY, int(decision_keys[n]), n)
+            rng = self._streams(int(decision_keys[n]), n)
             actions[n] = 0 if rng.random() < dists[n, 0] else 1
             probs[n] = dists[n, actions[n]]
         return actions, probs, dists

@@ -19,13 +19,15 @@ delay, and a scalar reward combining both.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .seeding import DOMAIN_ANSWER, DOMAIN_DELAY, substream
+from .seeding import DOMAIN_ANSWER, DOMAIN_DELAY, KeyedStreams
+from .seeding import substream  # noqa: F401  (bench/tracer.py wraps this binding)
 from .vecstore import (
     CorrelationSet,
     RecordKind,
@@ -99,6 +101,12 @@ class AnswerModel:
             raise ConfigError("relevance_radius must be strictly positive")
 
 
+def _distance(a: np.ndarray, b: np.ndarray) -> float:
+    """L2 distance of two vectors; ``np.linalg.norm(a - b)`` bit for bit."""
+    diff = a - b
+    return math.sqrt(diff.dot(diff))
+
+
 def satisfaction(answer_vec: np.ndarray, reference_vec: np.ndarray) -> float:
     """Negative distance between the served answer and the ideal answer.
 
@@ -109,7 +117,7 @@ def satisfaction(answer_vec: np.ndarray, reference_vec: np.ndarray) -> float:
         raise ConfigError(
             f"answer shape {answer_vec.shape} != reference shape {reference_vec.shape}"
         )
-    q = -float(np.linalg.norm(answer_vec - reference_vec))
+    q = -_distance(answer_vec, reference_vec)
     return q if q < 0.0 else -1e-9
 
 
@@ -196,6 +204,8 @@ class EdgeEnv:
         self.tau_serve = tau_serve
         self.evict_period = evict_period
         self.seed = seed
+        self._delay_streams = KeyedStreams(seed, DOMAIN_DELAY, len(self.stores))
+        self._answer_streams = KeyedStreams(seed, DOMAIN_ANSWER, len(self.stores))
         self.last_broadcast: list[Transition] = []
         self.fallback_count = 0
         self.action_counts = {"A": 0, "B": 0, "C": 0}
@@ -256,7 +266,7 @@ class EdgeEnv:
             answer_rec = rec
             q_rec = store.pair_record(rec.pair_id, RecordKind.QUESTION)
             q = request.question_vec
-            qdist = np.inf if q_rec is None else np.linalg.norm(q - q_rec.vec)
+            qdist = np.inf if q_rec is None else _distance(q, q_rec.vec)
         if qdist < self.tau_serve and answer_rec is not None:
             return "A", entry, answer_rec, False
         return "C", entry, None, False
@@ -282,7 +292,7 @@ class EdgeEnv:
         resolved, entry, answer_rec, fallback = self._resolve(
             store, request, action, corr
         )
-        delay_rng = substream(self.seed, DOMAIN_DELAY, request.id, n)
+        delay_rng = self._delay_streams(request.id, n)
         if resolved == "A":
             answer_vec = answer_rec.vec.copy()
             d = self.delay_model.sample_edge(delay_rng)
@@ -300,7 +310,7 @@ class EdgeEnv:
                 )
                 d = self.delay_model.sample_edge(delay_rng)
                 d += self.delay_model.sample_cloud(delay_rng)
-            answer_rng = substream(self.seed, DOMAIN_ANSWER, request.id, n)
+            answer_rng = self._answer_streams(request.id, n)
             noise = sigma * random_unit(answer_rng, store.dim)
             answer_vec = request.reference_vec + noise
         q = satisfaction(answer_vec, request.reference_vec)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -32,7 +33,7 @@ _NORM_TOL = 1e-6
 
 def unit(v: np.ndarray) -> np.ndarray:
     """Return ``v`` scaled to unit L2 norm."""
-    n = float(np.linalg.norm(v))
+    n = math.sqrt(v.dot(v))
     if n == 0.0:
         raise ValueError("cannot normalize a zero vector")
     return v / n

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import edgesched
-from edgesched import harness
+from edgesched import harness, seeding, simenv
 from edgesched.config import ExperimentConfig, load_config, policy_kind
 from edgesched.errors import ConfigError, ParseError
 from edgesched.harness import (
@@ -609,6 +609,28 @@ class TestRunExperiment:
         a = run_experiment(learned_cfg("mappo"))
         b = run_experiment(learned_cfg("mappo"))
         assert a.windows == b.windows
+
+    @pytest.mark.parametrize("policy", ["greedy-0.3", "lrs"])
+    def test_requests_build_no_generator_of_their_own(self, policy, monkeypatch):
+        # The env's and the policy's per-request streams come from
+        # KeyedStreams tables, which fall back to seeding.substream only
+        # for keys outside them.
+        calls = []
+        real = seeding.substream
+
+        def counted(*key):
+            calls.append(key)
+            return real(*key)
+
+        monkeypatch.setattr(simenv, "substream", counted)
+        monkeypatch.setattr(seeding, "substream", counted)
+        size = dict(servers=3, train_slots=150, test_slots=50)
+        if policy == "lrs":
+            cfg = learned_cfg(policy, **size)
+        else:
+            cfg = tiny_cfg(policy=policy, **size)
+        assert run_experiment(cfg).test.requests == 150
+        assert calls == []
 
 
 class TestWorkloadReplay:

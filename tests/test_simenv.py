@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from edgesched.errors import ConfigError
+from edgesched.seeding import DOMAIN_DELAY, substream
 from edgesched.simenv import (
     DIRECT_CLOUD,
     USE_CACHE,
@@ -357,3 +358,22 @@ class TestDeterminism:
         assert (t_near.q, t_near.d) == (b0.q, b0.d)
         # other servers draw different, but deterministic, noise
         assert env_b.last_broadcast[1].d != b0.d
+
+    def test_ids_out_of_order_draw_as_a_fresh_env(self):
+        # ids 300 and 5 lie in different blocks of the env's noise tables
+        def serve(env, rid):
+            t = env.step(make_request(rid, E[0], E[2], server=1), CLOUD)
+            return t.q, t.d
+
+        env = make_env(n_servers=2, seed=5, jitter=0.2)
+        for rid in (300, 5, 300):
+            assert serve(env, rid) == serve(make_env(n_servers=2, seed=5, jitter=0.2), rid)
+
+    def test_enhanced_delays_are_one_streams_two_lognormals(self):
+        env = make_env(seed=7, jitter=0.2)
+        env.step(make_request(0, E[0], E[2]), CLOUD)
+        t = env.step(make_request(1, sphere_point(0.3), E[2], slot=1), CACHE)
+        assert t.resolved == "C"
+        rng = substream(7, DOMAIN_DELAY, 1, 0)
+        edge = env.delay_model.edge_query * float(rng.lognormal(0.0, 0.2))
+        assert t.d == edge + env.delay_model.cloud_llm * float(rng.lognormal(0.0, 0.2))
