@@ -10,14 +10,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError
 from .marl import PolicySnapshot
-from .simenv import ActionChoice, DelayModel, AnswerModel, reward
+from .seeding import DOMAIN_POLICY, KeyedStreams
+from .simenv import ActionChoice, EdgeEnv
 from .vecstore import CorrelationSet
+
+# Direct-cloud rewards in each server's running cloud estimate.
+CLOUD_WINDOW = 50
 
 
 @dataclass
@@ -28,9 +31,7 @@ class DecisionContext:
     corr_features: np.ndarray  # flattened network-style correlation features
     question_vec: np.ndarray
     server: int
-    # Builds the per-decision stream, keyed by (request, server); only
-    # policies that draw call it.
-    make_rng: Callable[[], np.random.Generator]
+    request_id: int
 
 
 class BasePolicy:
@@ -61,43 +62,23 @@ class ThresholdPolicy(BasePolicy):
 class PayoffGreedyPolicy(BasePolicy):
     """Compare a predicted cache payoff against recent direct-cloud rewards.
 
-    The cache payoff prediction treats the nearest hit's distance as the
-    dissatisfaction a served answer would incur and charges only the edge
-    delay.  The cloud side is a running mean of the last ``window`` rewards
-    this server actually earned from direct-cloud requests, initialized with
-    the model-implied direct-cloud reward so the policy is defined before any
-    observation arrives.
+    Both sides are scored with ``env.reward``, the reward the environment
+    pays.  The cache payoff prediction treats the nearest hit's distance as
+    the dissatisfaction a served answer would incur and charges only the
+    edge delay.  The cloud side is a running mean of the last
+    ``CLOUD_WINDOW`` rewards this server actually earned from direct-cloud
+    requests, initialized with the model-implied direct-cloud reward so the
+    policy is defined before any observation arrives.
     """
 
-    def __init__(
-        self,
-        num_servers: int,
-        delay_model: DelayModel | None = None,
-        answer_model: AnswerModel | None = None,
-        quality_weight: float = 1.0,
-        delay_weight: float = 0.1,
-        reward_scale: float = 10.0,
-        window: int = 50,
-    ):
-        if num_servers < 1:
-            raise ConfigError(f"num_servers must be >= 1, got {num_servers}")
-        if window < 1:
-            raise ConfigError(f"window must be >= 1, got {window}")
-        delay_model = delay_model or DelayModel()
-        answer_model = answer_model or AnswerModel()
-        self.quality_weight = quality_weight
-        self.delay_weight = delay_weight
-        self.reward_scale = reward_scale
-        self.edge_delay = delay_model.edge_query
-        self.initial_estimate = reward(
-            -answer_model.sigma_llm,
-            delay_model.cloud_llm,
-            quality_weight,
-            delay_weight,
-            reward_scale,
+    def __init__(self, env: EdgeEnv):
+        self.env = env
+        self.edge_delay = env.delay_model.edge_query
+        self.initial_estimate = env.reward(
+            -env.answer_model.sigma_llm, env.delay_model.cloud_llm
         )
-        self._windows = [deque(maxlen=window) for _ in range(num_servers)]
-        self._estimates = [self.initial_estimate] * num_servers
+        self._windows = [deque(maxlen=CLOUD_WINDOW) for _ in range(env.num_servers)]
+        self._estimates = [self.initial_estimate] * env.num_servers
 
     def cloud_estimate(self, server: int) -> float:
         return self._estimates[server]
@@ -106,15 +87,9 @@ class PayoffGreedyPolicy(BasePolicy):
         best = ctx.corr.best()
         if best is None:
             return ActionChoice(1), 1.0
-        predicted = reward(
-            # A perfect hit has distance 0; keep satisfaction strictly
-            # negative the same way served answers do.
-            min(-best.distance, -1e-9),
-            self.edge_delay,
-            self.quality_weight,
-            self.delay_weight,
-            self.reward_scale,
-        )
+        # A perfect hit has distance 0; keep satisfaction strictly negative
+        # the same way served answers do.
+        predicted = self.env.reward(min(-best.distance, -1e-9), self.edge_delay)
         if predicted > self.cloud_estimate(ctx.server):
             return ActionChoice(0), 1.0
         return ActionChoice(1), 1.0
@@ -127,10 +102,18 @@ class PayoffGreedyPolicy(BasePolicy):
 
 
 class RandomPolicy(BasePolicy):
-    """Uniform coin flip between the cache path and the direct cloud call."""
+    """Uniform coin flip between the cache path and the direct cloud call.
+
+    Request ``i`` at server ``n`` flips the first draw of
+    ``substream(env.seed, DOMAIN_POLICY, i, n)``, the stream the learned
+    schedulers explore from.
+    """
+
+    def __init__(self, env: EdgeEnv):
+        self._streams = KeyedStreams(env.seed, DOMAIN_POLICY, env.num_servers)
 
     def decide(self, ctx: DecisionContext) -> tuple[ActionChoice, float]:
-        a = 0 if ctx.make_rng().random() < 0.5 else 1
+        a = 0 if self._streams(ctx.request_id, ctx.server).random() < 0.5 else 1
         return ActionChoice(a), 0.5
 
 

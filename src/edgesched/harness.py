@@ -14,7 +14,6 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import functools
 import json
 import logging
 import sys
@@ -41,7 +40,7 @@ from .marl import (
     Trainer,
     correlation_features,
 )
-from .seeding import DOMAIN_DEMO, DOMAIN_POLICY, substream
+from .seeding import DOMAIN_DEMO, substream
 from .simenv import ActionChoice, EdgeEnv, Transition
 from .vecstore import VectorStore
 from .workload import WorkloadGenerator, generate_topics, load_workload, save_workload
@@ -174,10 +173,9 @@ def _summaries_from_windows(windows: list[MetricsWindow]) -> dict[str, PhaseSumm
     return out
 
 
-def emit_report(report: MetricsReport, path, fmt: str | None = None) -> None:
+def emit_report(report: MetricsReport, path) -> None:
     """Write a report as CSV (default) or JSON lines (.jsonl/.json paths)."""
-    fmt = fmt or _infer_format(path)
-    if fmt == "jsonl":
+    if _is_jsonl(path):
         with open(path, "w") as fh:
             meta = {
                 "kind": "meta",
@@ -204,9 +202,8 @@ def emit_report(report: MetricsReport, path, fmt: str | None = None) -> None:
             writer.writerow([str(getattr(w, f)) for f in _WINDOW_FIELDS])
 
 
-def _infer_format(path) -> str:
-    text = str(path)
-    return "jsonl" if text.endswith((".jsonl", ".json")) else "csv"
+def _is_jsonl(path) -> bool:
+    return str(path).endswith((".jsonl", ".json"))
 
 
 # How load_report converts the report's provenance fields, in both formats.
@@ -214,15 +211,14 @@ _META_FIELDS = {"policy": jsonl.text, "mode": jsonl.text, "seed": jsonl.integer}
 _TEXT_FIELDS = ("policy", "mode", "phase")
 
 
-def load_report(path, fmt: str | None = None) -> MetricsReport:
+def load_report(path) -> MetricsReport:
     """Read a report back; it equals the report that was written.
 
     Window fields round-trip exactly, and the phase summaries are rebuilt
     from them with :func:`_summaries_from_windows`, as the run built them.
     """
-    fmt = fmt or _infer_format(path)
     windows: list[MetricsWindow] = []
-    if fmt == "jsonl":
+    if _is_jsonl(path):
         meta = None
         for where, row in jsonl.rows(path):
             if row.get("kind") == "meta":
@@ -237,7 +233,7 @@ def load_report(path, fmt: str | None = None) -> MetricsReport:
         if meta is None:
             raise ParseError(f"{path}: missing meta row")
     else:
-        meta = {"policy": "", "mode": "", "seed": 0, "config": {}}
+        meta = {"config": {}}
         header = None
         for where, line in jsonl.lines(path):
             if line.startswith("#"):
@@ -263,6 +259,9 @@ def load_report(path, fmt: str | None = None) -> MetricsReport:
                 windows.append(_window_from(where, _cells(zip(_WINDOW_FIELDS, row))))
         if header is None:
             raise ParseError(f"{path}: missing header row")
+        for key in _META_FIELDS:
+            if key not in meta:
+                raise ParseError(f"{path}: missing '# {key} = ' line")
     summaries = _summaries_from_windows(windows)
     return MetricsReport(
         **meta, windows=windows, train=summaries["train"], test=summaries["test"]
@@ -350,22 +349,16 @@ class _SlotSource:
         return sorted(self._slots[i], key=lambda r: r.server)
 
 
-def _make_heuristic(cfg: ExperimentConfig) -> BasePolicy:
-    kind, threshold = policy_kind(cfg.policy)
+def _make_heuristic(policy: str, env: EdgeEnv) -> BasePolicy:
+    """The heuristic named ``policy``, scheduling for ``env``."""
+    kind, threshold = policy_kind(policy)
     if kind == "random":
-        return RandomPolicy()
+        return RandomPolicy(env)
     if kind == "greedy":
         return ThresholdPolicy(threshold)
     if kind == "greedy-llm":
-        return PayoffGreedyPolicy(
-            num_servers=cfg.servers,
-            delay_model=cfg.delay_model(),
-            answer_model=cfg.answer_model(),
-            quality_weight=cfg.quality_weight,
-            delay_weight=cfg.delay_weight,
-            reward_scale=cfg.reward_scale,
-        )
-    raise ConfigError(f"{cfg.policy!r} is not a heuristic policy")
+        return PayoffGreedyPolicy(env)
+    raise ConfigError(f"{policy!r} is not a heuristic policy")
 
 
 class _Deployment:
@@ -452,9 +445,7 @@ class _Deployment:
                             corr_features=corr_features,
                             question_vec=req.question_vec,
                             server=n,
-                            make_rng=functools.partial(
-                                substream, env.seed, DOMAIN_POLICY, req.id, n
-                            ),
+                            request_id=req.id,
                         )
                         choice, prob = actor.decide(ctx)
                         choices.append(choice)
@@ -492,7 +483,7 @@ def build_expert_demos(cfg: ExperimentConfig) -> DemoSet:
     demo_seed = int(substream(cfg.seed, DOMAIN_DEMO).integers(2**31))
     demo_cfg = dataclasses.replace(cfg, workload_file=None, seed=demo_seed)
     deployment = _Deployment(demo_cfg, log_fh=None)
-    expert = _make_heuristic(dataclasses.replace(cfg, policy="greedy-llm"))
+    expert = PayoffGreedyPolicy(deployment.env)
     buffer = ExperienceBuffer(cfg.servers)
     deployment.play(range(cfg.demo_slots), "nearest", expert, buffer, None)
     # Bootstrap observation for the final partial segment.
@@ -534,7 +525,7 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
             actor: BasePolicy | RolloutDriver = RolloutDriver(trainer)
             buffer = trainer.buffer
         else:
-            actor = _make_heuristic(cfg)
+            actor = _make_heuristic(cfg.policy, deployment.env)
 
         # Training phase: origin-server routing, learned policies update.
         acc_train = WindowAccumulator("train", cfg.window_size, cfg.servers)

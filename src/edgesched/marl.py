@@ -473,7 +473,7 @@ class Trainer:
         self.demos = demos
         feature_dim = encoder_cfg.feature_dim if encoder_cfg else question_dim
         self.state_dim = corr_dim + feature_dim
-        encoder = FeatureEncoder(encoder_cfg, prefix="enc") if encoder_cfg else None
+        encoder = FeatureEncoder(encoder_cfg) if encoder_cfg else None
         self.nets = NetBundle(
             encoder=encoder,
             policy=PolicyNet(self.state_dim, self.cfg.policy_hidden),

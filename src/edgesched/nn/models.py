@@ -52,9 +52,10 @@ class EncoderConfig:
 class FeatureEncoder:
     """Patch + self-attention encoder mapping (B, input_dim) -> (B, feature_dim)."""
 
-    def __init__(self, cfg: EncoderConfig, prefix: str = "enc"):
+    prefix = "enc"  # of every parameter name
+
+    def __init__(self, cfg: EncoderConfig):
         self.cfg = cfg
-        self.prefix = prefix
         self.positions = layers.sinusoidal_positions(cfg.num_patches, cfg.model_dim)
 
     def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -190,12 +191,9 @@ class MlpNet:
 class PolicyNet:
     """Action-probability head: MLP trunk plus a softmax over two actions."""
 
-    def __init__(
-        self, in_dim: int, hidden: tuple[int, ...] = (128, 128), n_actions: int = 2
-    ):
-        self.mlp = MlpNet(in_dim, hidden, n_actions, prefix="pi", zero_final=True)
+    def __init__(self, in_dim: int, hidden: tuple[int, ...] = (128, 128)):
+        self.mlp = MlpNet(in_dim, hidden, 2, prefix="pi", zero_final=True)
         self.in_dim = in_dim
-        self.n_actions = n_actions
 
     def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
         return self.mlp.init_params(rng)

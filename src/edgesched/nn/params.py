@@ -12,6 +12,11 @@ import numpy as np
 
 from ..errors import GradientError
 
+# Adam's moment decay rates and denominator guard.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class ParamSet:
     """A bundle of named float64 tensors, owned by one optimizer.
@@ -44,19 +49,10 @@ class ParamSet:
 class Adam:
     """Adam with per-tensor moments, updating parameters and moments in place."""
 
-    def __init__(
-        self,
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, lr: float):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -76,7 +72,7 @@ class Adam:
                     f"non-finite gradient in tensor {name!r}; step aborted"
                 )
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         for name in params.names():
@@ -92,5 +88,5 @@ class Adam:
                 m += (1.0 - b1) * g
                 v *= b2
                 v += (1.0 - b2) * g * g
-            step = self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            step = self.lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)
             params.tensors[name] -= step

@@ -215,6 +215,11 @@ class EdgeEnv:
     def num_servers(self) -> int:
         return len(self.stores)
 
+    def reward(self, q: float, d: float) -> float:
+        """The reward of satisfaction ``q`` at delay ``d`` under this
+        environment's QoS weights and scale."""
+        return reward(q, d, self.quality_weight, self.delay_weight, self.reward_scale)
+
     def begin_slot(self, slot: int) -> None:
         """Run slot-boundary maintenance: the periodic eviction sweep."""
         if self.evict_period and slot % self.evict_period == 0:
@@ -314,9 +319,7 @@ class EdgeEnv:
             noise = sigma * random_unit(answer_rng, store.dim)
             answer_vec = request.reference_vec + noise
         q = satisfaction(answer_vec, request.reference_vec)
-        r = reward(
-            q, d, self.quality_weight, self.delay_weight, self.reward_scale
-        )
+        r = self.reward(q, d)
         # Store mutations: the retrieved record (A, C) updates its running
         # value; cloud answers (B, C) are cached as a fresh pair seeded with
         # this payoff.

@@ -39,9 +39,9 @@ class RecordKind(IntEnum):
     ANSWER = 2
 
 
-def clamp_negative(x: float, floor: float = -1e-6) -> float:
-    """Force ``x`` strictly below zero; non-negative inputs become ``floor``."""
-    return x if x < 0.0 else floor
+def clamp_negative(x: float) -> float:
+    """Force ``x`` strictly below zero; non-negative inputs become -1e-6."""
+    return x if x < 0.0 else -1e-6
 
 
 @dataclass(eq=False)
@@ -112,9 +112,7 @@ class CorrelationSet:
     def __iter__(self):
         return iter(self.entries)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
+    def __getitem__(self, i: int) -> CorrelationEntry:
         entry = self._entries[i]
         if entry is None:
             rid, vec, kind, freq, value, slot, pair, dist = self._hits

@@ -1,7 +1,5 @@
 """Tests for the comparison schedulers and learned-variant presets."""
 
-import functools
-
 import numpy as np
 import pytest
 
@@ -16,8 +14,15 @@ from edgesched.baselines import (
 )
 from edgesched.errors import ConfigError
 from edgesched.marl import Trainer, TrainerConfig, correlation_features
-from edgesched.simenv import DelayModel, Transition, reward
-from edgesched.vecstore import CorrelationEntry, CorrelationSet, RecordKind, VectorRecord
+from edgesched.seeding import DOMAIN_POLICY, substream
+from edgesched.simenv import AnswerModel, DelayModel, EdgeEnv, Transition, reward
+from edgesched.vecstore import (
+    CorrelationEntry,
+    CorrelationSet,
+    RecordKind,
+    VectorRecord,
+    VectorStore,
+)
 
 
 def make_record(rid=0, kind=RecordKind.ANSWER, freq=0, value=-0.5, dim=8):
@@ -41,7 +46,12 @@ def corr_of(*dists):
     return CorrelationSet(entries)
 
 
-def make_ctx(corr, server=0, seed=0, q_dim=8, width=5):
+def make_env(n_servers=1, seed=0, **kw):
+    stores = [VectorStore(dim=8, nlist=1, seed=seed, server=n) for n in range(n_servers)]
+    return EdgeEnv(stores, seed=seed, **kw)
+
+
+def make_ctx(corr, server=0, request_id=0, q_dim=8, width=5):
     feats = correlation_features(corr.matrix(width))
     q = np.zeros(q_dim)
     q[0] = 1.0
@@ -50,7 +60,7 @@ def make_ctx(corr, server=0, seed=0, q_dim=8, width=5):
         corr_features=feats,
         question_vec=q,
         server=server,
-        make_rng=functools.partial(np.random.default_rng, seed),
+        request_id=request_id,
     )
 
 
@@ -101,7 +111,7 @@ class TestThresholdPolicy:
 
 class TestPayoffGreedy:
     def test_initial_estimate_is_model_cloud_reward(self):
-        pol = PayoffGreedyPolicy(num_servers=2)
+        pol = PayoffGreedyPolicy(make_env(n_servers=2))
         expected = reward(-0.15, 3.34, 1.0, 0.1, 10.0)
         assert pol.initial_estimate == expected
         assert pol.cloud_estimate(0) == expected
@@ -109,16 +119,18 @@ class TestPayoffGreedy:
 
     def test_near_hit_beats_initial_estimate(self):
         # predicted = 10 * (-d - 0.081); crosses -4.84 at d = 0.403
-        pol = PayoffGreedyPolicy(num_servers=1)
+        pol = PayoffGreedyPolicy(make_env())
         choice, _ = pol.decide(make_ctx(corr_of(0.40)))
         assert choice.a == 0
         choice, _ = pol.decide(make_ctx(corr_of(0.41)))
         assert choice.a == 1
 
     def test_crossover_distance(self):
-        pol = PayoffGreedyPolicy(num_servers=1)
+        env = make_env()
+        pol = PayoffGreedyPolicy(env)
         crossover = (
-            -pol.initial_estimate / pol.reward_scale - 0.1 * pol.edge_delay
+            -pol.initial_estimate / env.reward_scale
+            - env.delay_weight * env.delay_model.edge_query
         )
         assert crossover == pytest.approx(0.403, abs=1e-12)
         eps = 1e-9
@@ -129,12 +141,12 @@ class TestPayoffGreedy:
         assert eps < crossover  # the -1e-9 clamp never binds at the crossover
 
     def test_empty_set_goes_direct(self):
-        pol = PayoffGreedyPolicy(num_servers=1)
+        pol = PayoffGreedyPolicy(make_env())
         choice, _ = pol.decide(make_ctx(corr_of()))
         assert choice.a == 1
 
     def test_observe_tracks_direct_cloud_rewards_per_server(self):
-        pol = PayoffGreedyPolicy(num_servers=2, window=3)
+        pol = PayoffGreedyPolicy(make_env(n_servers=2))
         pol.observe(fake_transition(server=0, resolved="B", r=-2.0))
         pol.observe(fake_transition(server=0, resolved="B", r=-4.0))
         assert pol.cloud_estimate(0) == pytest.approx(-3.0)
@@ -142,54 +154,67 @@ class TestPayoffGreedy:
         assert pol.cloud_estimate(1) == pol.initial_estimate
 
     def test_observe_ignores_cache_outcomes(self):
-        pol = PayoffGreedyPolicy(num_servers=1)
+        pol = PayoffGreedyPolicy(make_env())
         pol.observe(fake_transition(resolved="A", r=-1.0))
         pol.observe(fake_transition(resolved="C", r=-5.0))
         assert pol.cloud_estimate(0) == pol.initial_estimate
 
     def test_window_drops_old_rewards(self):
-        pol = PayoffGreedyPolicy(num_servers=1, window=2)
-        for r in (-9.0, -1.0, -3.0):
-            pol.observe(fake_transition(resolved="B", r=r))
-        assert pol.cloud_estimate(0) == pytest.approx(-2.0)
+        # 51 rewards -1 .. -51: the window keeps the last 50, -2 .. -51
+        pol = PayoffGreedyPolicy(make_env())
+        for r in range(1, 52):
+            pol.observe(fake_transition(resolved="B", r=-float(r)))
+        assert pol.cloud_estimate(0) == pytest.approx(-26.5)
 
     def test_estimate_shifts_decision(self):
         # a glut of terrible cloud outcomes should make a mediocre hit tempting
-        pol = PayoffGreedyPolicy(num_servers=1)
+        pol = PayoffGreedyPolicy(make_env())
         ctx = make_ctx(corr_of(0.6))
         assert pol.decide(ctx)[0].a == 1
         for _ in range(10):
             pol.observe(fake_transition(resolved="B", r=-9.0))
         assert pol.decide(ctx)[0].a == 0
 
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            PayoffGreedyPolicy(num_servers=0)
-        with pytest.raises(ConfigError):
-            PayoffGreedyPolicy(num_servers=1, window=0)
-
     def test_custom_delay_model_moves_crossover(self):
         cheap_edge = DelayModel(edge_query=0.2, cloud_llm=3.34)
-        pol = PayoffGreedyPolicy(num_servers=1, delay_model=cheap_edge)
+        pol = PayoffGreedyPolicy(make_env(delay_model=cheap_edge))
         # crossover now at 0.484 - 0.02 = 0.464
         assert pol.decide(make_ctx(corr_of(0.45)))[0].a == 0
         assert pol.decide(make_ctx(corr_of(0.47)))[0].a == 1
 
+    def test_custom_qos_settings_move_crossover(self):
+        env = make_env(
+            delay_model=DelayModel(edge_query=0.5, cloud_llm=2.0),
+            answer_model=AnswerModel(sigma_llm=0.2),
+            quality_weight=2.0,
+            delay_weight=0.3,
+            reward_scale=4.0,
+        )
+        pol = PayoffGreedyPolicy(env)
+        # -4 (2 * 0.2 + 0.3 * 2.0) = -4 (2 d + 0.3 * 0.5) at d = 0.425
+        assert pol.initial_estimate == env.reward(-0.2, 2.0)
+        assert pol.initial_estimate == pytest.approx(-4.0)
+        assert pol.decide(make_ctx(corr_of(0.42)))[0].a == 0
+        assert pol.decide(make_ctx(corr_of(0.43)))[0].a == 1
+
 
 class TestRandomPolicy:
-    def test_flips_a_fair_coin_from_the_context_stream(self):
-        pol = RandomPolicy()
-        for seed in range(30):
-            ctx = make_ctx(corr_of(0.1), seed=seed)
-            expected = 0 if np.random.default_rng(seed).random() < 0.5 else 1
-            choice, prob = pol.decide(ctx)
-            assert choice.a == expected
-            assert prob == 0.5
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_coin_is_the_policy_substream(self, seed):
+        # ids 0-600 cross the 256-id blocks of the policy's stream tables
+        servers = 3
+        pol = RandomPolicy(make_env(n_servers=servers, seed=seed))
+        for rid in range(601):
+            for n in range(servers):
+                choice, prob = pol.decide(make_ctx(corr_of(0.1), server=n, request_id=rid))
+                coin = substream(seed, DOMAIN_POLICY, rid, n).random() < 0.5
+                assert choice.a == (0 if coin else 1)
+                assert prob == 0.5
 
     def test_both_actions_occur(self):
-        pol = RandomPolicy()
+        pol = RandomPolicy(make_env())
         actions = {
-            pol.decide(make_ctx(corr_of(0.1), seed=s))[0].a for s in range(40)
+            pol.decide(make_ctx(corr_of(0.1), request_id=i))[0].a for i in range(40)
         }
         assert actions == {0, 1}
 

@@ -486,6 +486,15 @@ class TestReportFiles:
         with pytest.raises(ParseError, match="header"):
             load_report(path)
 
+    @pytest.mark.parametrize("key", ["policy", "mode", "seed"])
+    def test_csv_missing_provenance_line(self, tmp_path, key):
+        path = tmp_path / "bad.csv"
+        emit_report(sample_report(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(l for l in lines if not l.startswith(f"# {key} = ")))
+        with pytest.raises(ParseError, match=re.escape(f"{path}: missing '# {key} = ' line")):
+            load_report(path)
+
     def test_csv_short_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         good = tmp_path / "good.csv"
@@ -610,11 +619,11 @@ class TestRunExperiment:
         b = run_experiment(learned_cfg("mappo"))
         assert a.windows == b.windows
 
-    @pytest.mark.parametrize("policy", ["greedy-0.3", "lrs"])
+    @pytest.mark.parametrize("policy", ["greedy-0.3", "random", "lrs"])
     def test_requests_build_no_generator_of_their_own(self, policy, monkeypatch):
         # The env's and the policy's per-request streams come from
         # KeyedStreams tables, which fall back to seeding.substream only
-        # for keys outside them.
+        # for keys outside them.  The one call left is lrs's demo seed.
         calls = []
         real = seeding.substream
 
@@ -622,15 +631,15 @@ class TestRunExperiment:
             calls.append(key)
             return real(*key)
 
-        monkeypatch.setattr(simenv, "substream", counted)
-        monkeypatch.setattr(seeding, "substream", counted)
+        for module in (harness, simenv, seeding):
+            monkeypatch.setattr(module, "substream", counted)
         size = dict(servers=3, train_slots=150, test_slots=50)
         if policy == "lrs":
             cfg = learned_cfg(policy, **size)
         else:
             cfg = tiny_cfg(policy=policy, **size)
         assert run_experiment(cfg).test.requests == 150
-        assert calls == []
+        assert calls == ([(cfg.seed, seeding.DOMAIN_DEMO)] if policy == "lrs" else [])
 
 
 class TestWorkloadReplay:
@@ -712,6 +721,35 @@ class TestExpertDemos:
         for sa, sb in zip(a.segments, b.segments):
             assert np.array_equal(sa.rewards, sb.rewards)
             assert np.array_equal(sa.actions, sb.actions)
+
+    def test_expert_scores_with_the_demo_envs_reward(self, monkeypatch):
+        cfg = tiny_cfg(
+            min_agent_batch=4,
+            demo_slots=4,
+            quality_weight=2.0,
+            delay_weight=0.3,
+            reward_scale=4.0,
+            sigma_llm=0.2,
+            edge_delay=0.5,
+            cloud_delay=2.0,
+        )
+        experts = []
+
+        class Recorded(harness.PayoffGreedyPolicy):
+            def __init__(self, env):
+                super().__init__(env)
+                experts.append(self)
+
+        monkeypatch.setattr(harness, "PayoffGreedyPolicy", Recorded)
+        build_expert_demos(cfg)
+        [expert] = experts
+        env = expert.env
+        demo_seed = seeding.substream(cfg.seed, seeding.DOMAIN_DEMO).integers(2**31)
+        assert env.seed == int(demo_seed)
+        assert (env.quality_weight, env.delay_weight, env.reward_scale) == (2.0, 0.3, 4.0)
+        assert expert.edge_delay == 0.5
+        assert expert.initial_estimate == env.reward(-0.2, 2.0)
+        assert expert.initial_estimate == pytest.approx(-4.0)
 
     def test_demo_streams_leave_main_run_untouched(self):
         # a run that builds demos must not perturb a later identical run

@@ -300,7 +300,7 @@ _SHAPES = st.lists(
 class TestAdam:
     def test_single_step_hand_computed(self):
         params = ParamSet({"w": np.array([1.0])})
-        opt = Adam(lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+        opt = Adam(lr=0.1)
         g = 2.0
         assert opt.step(params, {"w": np.array([g])}) is None
         # first step: m-hat = g, v-hat = g^2, so the update is lr * g/(|g| + eps)

@@ -104,6 +104,18 @@ class TestModels:
             AnswerModel(relevance_radius=0.0)
 
 
+class TestEnvSettings:
+    def test_needs_a_store(self):
+        with pytest.raises(ConfigError, match="at least one store"):
+            EdgeEnv([])
+
+    def test_reward_applies_the_env_weights_and_scale(self):
+        env = make_env(quality_weight=2.0, delay_weight=0.3, reward_scale=4.0)
+        assert env.reward(-0.2, 1.5) == reward(-0.2, 1.5, 2.0, 0.3, 4.0)
+        t = env.step(make_request(0, E[0], E[2]), CLOUD)
+        assert t.r == env.reward(t.q, t.d)
+
+
 class TestActionChoice:
     def test_validation(self):
         with pytest.raises(ConfigError):
