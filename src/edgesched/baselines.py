@@ -16,11 +16,15 @@ import numpy as np
 from .errors import ConfigError
 from .marl import PolicySnapshot
 from .seeding import DOMAIN_POLICY, KeyedStreams
-from .simenv import ActionChoice, EdgeEnv
+from .simenv import DIRECT_CLOUD, USE_CACHE, ActionChoice, EdgeEnv
 from .vecstore import CorrelationSet
 
 # Direct-cloud rewards in each server's running cloud estimate.
 CLOUD_WINDOW = 50
+
+# The two decisions; ActionChoice is frozen, so every request can share them.
+_CHOICES = (ActionChoice(USE_CACHE), ActionChoice(DIRECT_CLOUD))
+_CACHE, _CLOUD = _CHOICES
 
 
 @dataclass
@@ -28,7 +32,9 @@ class DecisionContext:
     """Everything a scheduler may look at when routing one request."""
 
     corr: CorrelationSet
-    corr_features: np.ndarray  # flattened network-style correlation features
+    # Flattened network-style correlation features; built only for a policy
+    # whose ``reads_features`` is set, None otherwise.
+    corr_features: np.ndarray | None
     question_vec: np.ndarray
     server: int
     request_id: int
@@ -36,6 +42,9 @@ class DecisionContext:
 
 class BasePolicy:
     """Interface stub: decide on an action, optionally observe the outcome."""
+
+    # Whether ``decide`` reads ``ctx.corr_features``.
+    reads_features = False
 
     def decide(self, ctx: DecisionContext) -> tuple[ActionChoice, float]:
         raise NotImplementedError
@@ -53,10 +62,10 @@ class ThresholdPolicy(BasePolicy):
         self.threshold = threshold
 
     def decide(self, ctx: DecisionContext) -> tuple[ActionChoice, float]:
-        best = ctx.corr.best()
-        if best is None or best.distance > self.threshold:
-            return ActionChoice(1), 1.0
-        return ActionChoice(0), 1.0
+        nearest = ctx.corr.nearest_distance()
+        if nearest is None or nearest > self.threshold:
+            return _CLOUD, 1.0
+        return _CACHE, 1.0
 
 
 class PayoffGreedyPolicy(BasePolicy):
@@ -84,15 +93,15 @@ class PayoffGreedyPolicy(BasePolicy):
         return self._estimates[server]
 
     def decide(self, ctx: DecisionContext) -> tuple[ActionChoice, float]:
-        best = ctx.corr.best()
-        if best is None:
-            return ActionChoice(1), 1.0
+        nearest = ctx.corr.nearest_distance()
+        if nearest is None:
+            return _CLOUD, 1.0
         # A perfect hit has distance 0; keep satisfaction strictly negative
         # the same way served answers do.
-        predicted = self.env.reward(min(-best.distance, -1e-9), self.edge_delay)
+        predicted = self.env.reward(min(-nearest, -1e-9), self.edge_delay)
         if predicted > self.cloud_estimate(ctx.server):
-            return ActionChoice(0), 1.0
-        return ActionChoice(1), 1.0
+            return _CACHE, 1.0
+        return _CLOUD, 1.0
 
     def observe(self, transition) -> None:
         if transition.resolved == "B":
@@ -113,12 +122,14 @@ class RandomPolicy(BasePolicy):
         self._streams = KeyedStreams(env.seed, DOMAIN_POLICY, env.num_servers)
 
     def decide(self, ctx: DecisionContext) -> tuple[ActionChoice, float]:
-        a = 0 if self._streams(ctx.request_id, ctx.server).random() < 0.5 else 1
-        return ActionChoice(a), 0.5
+        heads = self._streams(ctx.request_id, ctx.server).random() < 0.5
+        return (_CACHE if heads else _CLOUD), 0.5
 
 
 class LearnedPolicy(BasePolicy):
     """Acts greedily from a frozen policy snapshot."""
+
+    reads_features = True
 
     def __init__(self, snapshot: PolicySnapshot):
         self.snapshot = snapshot
@@ -128,7 +139,7 @@ class LearnedPolicy(BasePolicy):
             ctx.corr_features[None, :], ctx.question_vec[None, :]
         )[0]
         a = int(np.argmax(dist))
-        return ActionChoice(a), float(dist[a])
+        return _CHOICES[a], float(dist[a])
 
 
 @dataclass(frozen=True)

@@ -394,10 +394,12 @@ class _Deployment:
         self.source = _SlotSource(cfg)
         self.log_fh = log_fh
 
-    def observe(self, group) -> tuple:
-        """Correlation sets, feature matrix, and question matrix for a group
-        of (server, request) pairs."""
+    def observe(self, group, features: bool) -> tuple:
+        """Correlation sets for a group of (server, request) pairs, with the
+        group's feature and question matrices if ``features`` (else None)."""
         corrsets = [self.env.correlations(n, r.question_vec) for n, r in group]
+        if not features:
+            return corrsets, None, None
         width = self.env.query_width
         feats = np.stack([correlation_features(c.matrix(width)) for c in corrsets])
         questions = np.stack([req.question_vec for _, req in group])
@@ -418,10 +420,13 @@ class _Deployment:
         per request covering every server.  Each group is observed, decided
         by ``actor`` (a policy, or a :class:`RolloutDriver` that also
         trains), then stepped; served requests go to ``acc`` and, with
-        ``buffer``, each slot is recorded for training.
+        ``buffer``, each slot is recorded for training.  Feature and
+        question matrices are built only where they are read: by a learner,
+        a buffer or a policy that ``reads_features``.
         """
         env = self.env
         learned = isinstance(actor, RolloutDriver)
+        features = learned or buffer is not None or actor.reads_features
         for slot in slots:
             reqs = self.source.next_slot()
             env.begin_slot(slot)
@@ -429,7 +434,7 @@ class _Deployment:
             if mode == "broadcast":
                 groups = [[(n, req) for n in range(env.num_servers)] for req in reqs]
             for group in groups:
-                corrsets, feats, questions = self.observe(group)
+                corrsets, feats, questions = self.observe(group, features)
                 if learned:
                     actor.begin_slot(feats, questions)
                     keys = [req.id for _, req in group]
@@ -439,10 +444,10 @@ class _Deployment:
                     if buffer is not None and buffer.pending_steps >= self.segment_len:
                         buffer.hand_off(feats, questions)
                     choices, probs = [], []
-                    for (n, req), corr, corr_features in zip(group, corrsets, feats):
+                    for i, ((n, req), corr) in enumerate(zip(group, corrsets)):
                         ctx = DecisionContext(
                             corr=corr,
-                            corr_features=corr_features,
+                            corr_features=None if feats is None else feats[i],
                             question_vec=req.question_vec,
                             server=n,
                             request_id=req.id,
@@ -489,7 +494,7 @@ def build_expert_demos(cfg: ExperimentConfig) -> DemoSet:
     # Bootstrap observation for the final partial segment.
     reqs = deployment.source.next_slot()
     deployment.env.begin_slot(cfg.demo_slots)
-    _, feats, questions = deployment.observe(list(enumerate(reqs)))
+    _, feats, questions = deployment.observe(list(enumerate(reqs)), features=True)
     buffer.hand_off(feats, questions)
     return DemoSet(buffer.segments)
 
@@ -564,6 +569,7 @@ def run_invariant_checks(out=sys.stdout) -> bool:
     from .nn.params import ParamSet
     from .marl import compute_gae
     from .simenv import reward, qos_cost
+    from .vecstore import IvfIndex
 
     ok = True
 
@@ -605,6 +611,27 @@ def run_invariant_checks(out=sys.stdout) -> bool:
     store.insert_qa(v, -v, slot=0, initial_cache_value=-1.0)
     hit = store.query(v, 1).best()
     check("store returns an inserted vector exactly", hit is not None and hit.distance == 0.0)
+
+    # The IVF probe's guarded matrix-vector ranking takes the lists the exact
+    # stable walk takes: on a seeded 128-list store, and on a copy whose
+    # nearest centroid is duplicated, where the guard must fall back.
+    store = VectorStore(dim=16, nlist=128, seed=2)
+    rng = np.random.default_rng(2)
+    vecs = rng.normal(size=(600, 16))
+    for q, a in zip(vecs[0::2], vecs[1::2]):
+        store.insert_qa(q, a, slot=0, initial_cache_value=-1.0)
+    index = store.rebuild_index()
+    queries = rng.normal(size=(40, 16))
+    agree = index.nlist == 128 and all(
+        sorted(index.probe_order(q, t)) == sorted(index._exact_probe(q, t))
+        for q in queries
+        for t in (10, 60, len(store) + 1)
+    )
+    twin = IvfIndex(np.vstack([index.centroids[:1], index.centroids]), [[], *index.lists])
+    q = index.centroids[0]
+    forced = twin._ranked_probe(q, 10) is None
+    agree = agree and forced and twin.probe_order(q, 10) == twin._exact_probe(q, 10)
+    check("ivf probe sets equal the exact walk, with one forced fallback", agree)
 
     return ok
 

@@ -13,6 +13,7 @@ periodic eviction sweep that drops below-average records.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Sequence
@@ -81,30 +82,41 @@ class CorrelationSet:
     """Search results for one query, ordered by ascending distance.
 
     ``columns`` is a (3, len) array of similarity, kind code and use count
-    per entry.  A set built from entries computes it from them; a store's
-    query result holds its hits' fields as arrays and makes each entry
-    only when it is first read.
+    per entry, built when first read.  A set built from entries computes it
+    from them; a store's query result holds its hits' fields as arrays and
+    makes each entry only when it is first read.
     """
 
     def __init__(self, entries: Sequence[CorrelationEntry]):
         self._entries = list(entries)
-        self.columns = np.array(
-            [
-                (e.similarity, float(e.record.kind), float(e.record.freq))
-                for e in self._entries
-            ],
-            dtype=float,
-        ).reshape(-1, 3).T
+        self._hits = None
+        self._columns = None
 
     @classmethod
-    def _of_hits(cls, hits: tuple, columns: np.ndarray) -> CorrelationSet:
+    def _of_hits(cls, hits: tuple) -> CorrelationSet:
         """A set over ``hits``: per-hit arrays of rid, vector, kind code,
         freq, cache value, insert slot, pair id and distance."""
         out = cls.__new__(cls)
-        out._entries = [None] * columns.shape[1]
+        out._entries = [None] * len(hits[0])
         out._hits = hits
-        out.columns = columns
+        out._columns = None
         return out
+
+    @property
+    def columns(self) -> np.ndarray:
+        if self._columns is None:
+            if self._hits is None:
+                rows = [
+                    (e.similarity, float(e.record.kind), float(e.record.freq))
+                    for e in self._entries
+                ]
+                self._columns = np.array(rows, dtype=float).reshape(-1, 3).T
+            else:
+                _, _, kinds, freqs, _, _, _, dists = self._hits
+                self._columns = np.array(
+                    [1.0 / (1.0 + dists), kinds, freqs], dtype=float
+                )
+        return self._columns
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -135,6 +147,14 @@ class CorrelationSet:
     def best(self) -> CorrelationEntry | None:
         """Nearest entry, or None when empty."""
         return self[0] if self._entries else None
+
+    def nearest_distance(self) -> float | None:
+        """The nearest entry's distance, or None when empty; builds no record."""
+        if not self._entries:
+            return None
+        if self._hits is None:
+            return self._entries[0].distance
+        return float(self._hits[7][0])
 
     def matrix(self, width: int) -> np.ndarray:
         """A (3, width) summary: similarity, kind code, and use count per hit.
@@ -175,7 +195,7 @@ def _nearest_centroid(
         sq_norms = (centroids * centroids).sum(axis=1)
     # ||v - c||^2 = ||v||^2 - 2 v.c + ||c||^2; the ||v||^2 term is constant per row.
     d2 = sq_norms[None, :] - 2.0 * vecs @ centroids.T
-    return np.argmin(d2, axis=1)
+    return d2.argmin(axis=1)
 
 
 def _cluster_means(
@@ -222,6 +242,64 @@ def _lloyd_kmeans(
     return centroids, assign
 
 
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).smallest_subnormal)
+
+
+def _rounding_margin(dim: int, max_sq: float, query: np.ndarray) -> float:
+    """A gap in ``|c|^2 - 2 c.q`` beyond which the exact scan agrees on order.
+
+    The fast rankings score a vector ``c`` (a centroid or a stored row) by
+    ``g = |c|^2 - 2 c.q``, which is ``|c - q|^2 - |q|^2``: the ``|q|^2`` term
+    is the same for every ``c``, so ``g`` ranks as the squared distance.  The
+    exact reference computes ``s = sum_j (c_j - q_j)^2`` term by term.  With
+    unit roundoff ``u = eps / 2``, ``gamma_k = k u / (1 - k u)`` and
+    ``R = max|c| + |q|`` (so ``|c - q| <= R`` and ``|c|^2 + 2|c||q| <= R^2``):
+
+    * ``s``: each term carries two roundings (the difference and its square)
+      and a ``dim``-term sum at most ``dim - 1`` more, in any summation
+      order, so ``|s - |c - q|^2| <= gamma_{dim+2} R^2``.
+    * ``g``: ``|c|^2`` is a ``dim``-term sum (``gamma_dim |c|^2``), the
+      product with the exactly scaled ``-2c`` a ``dim``-term dot product
+      (``gamma_dim 2|c||q|``, whatever order or fused multiply-adds the BLAS
+      uses), and the final addition one more rounding, so ``g`` is within
+      ``gamma_{dim+1} R^2`` of ``|c - q|^2 - |q|^2``.
+
+    So ``g_b - g_a > 2 (gamma_{dim+1} + gamma_{dim+2}) R^2`` forces
+    ``|c_b - q|^2 - |c_a - q|^2 > 2 gamma_{dim+2} R^2``, hence ``s_b > s_a``:
+    the exact reference ranks ``a`` strictly before ``b``.  That bound is
+    below ``4 gamma_{dim+2} R^2``, about ``2 (dim + 2) eps R^2``.  The margin
+    returned is twice that, ``4 (dim + 2) eps R^2``.  The slack covers the
+    ``gamma`` denominators, the rounding of ``R`` and of the margin itself,
+    and the square root the store's scoring takes: ``fl(sqrt(s_b)) >
+    fl(sqrt(s_a))`` once ``s_b - s_a > u (sqrt(s_a) + sqrt(s_b))^2``, at most
+    ``2 eps R^2 (1 + gamma_{dim+2})``.
+
+    A product that underflows also loses up to half a subnormal spacing
+    ``tiny``, absolutely: at most ``3 dim tiny`` over the four values
+    compared, and two spacings at the square root.  The margin adds
+    ``8 (dim + 2) tiny`` for them.
+
+    A NaN or infinite input makes the margin or the values non-finite; every
+    comparison against them fails, and the callers then take the exact path.
+    """
+    r = math.sqrt(max_sq) + math.sqrt(query.dot(query))
+    return 4.0 * (dim + 2) * (_EPS * r * r + 2.0 * _TINY)
+
+
+def _walk(order, lists: list[list[int]], target: int) -> tuple[list[int], bool]:
+    """The lists taken in ``order`` until they hold ``target`` rows, and
+    whether they got there before ``order`` ran out."""
+    probed: list[int] = []
+    count = 0
+    for li in order:
+        probed.append(li)
+        count += len(lists[li])
+        if count >= target:
+            return probed, True
+    return probed, False
+
+
 class IvfIndex:
     """Inverted-list index state: coarse centroids and per-list store rows."""
 
@@ -229,6 +307,8 @@ class IvfIndex:
         self.centroids = centroids  # (nlist, dim)
         self.lists = lists  # store rows per inverted list
         self.sq_norms = (centroids * centroids).sum(axis=1)
+        self.neg2c = -2.0 * centroids
+        self._max_sq = float(self.sq_norms.max())
 
     @property
     def nlist(self) -> int:
@@ -239,10 +319,39 @@ class IvfIndex:
         li = int(_nearest_centroid(self.centroids, vec[None, :], self.sq_norms)[0])
         self.lists[li].append(row)
 
-    def probe_order(self, query: np.ndarray) -> np.ndarray:
-        """List indices sorted by ascending centroid distance to ``query``."""
+    def probe_order(self, query: np.ndarray, target: int) -> list[int]:
+        """The lists to probe for ``query``: by ascending centroid distance,
+        until they hold ``target`` rows.
+
+        The lists are ranked by one matrix-vector product,
+        ``sq_norms + neg2c @ query``.  That ranking is returned when the gaps
+        between consecutive values, over every list taken and the next one
+        ranked, all exceed :func:`_rounding_margin`: then the exact walk
+        takes the same lists in the same order.  When the lists hold fewer
+        than ``target`` rows in all, every list is taken and the order
+        cannot matter.  Otherwise the exact walk runs.
+        """
+        probed = self._ranked_probe(query, target)
+        return self._exact_probe(query, target) if probed is None else probed
+
+    def _ranked_probe(self, query: np.ndarray, target: int) -> list[int] | None:
+        """The guarded matrix-vector walk; None where the guard fails."""
+        g = self.sq_norms + self.neg2c @ query
+        order = g.argsort()
+        probed, reached = _walk(order, self.lists, target)
+        if not reached:
+            return probed
+        ranked = g[order[: len(probed) + 1]].tolist()
+        margin = _rounding_margin(self.centroids.shape[1], self._max_sq, query)
+        if all(b - a > margin for a, b in zip(ranked, ranked[1:])):
+            return probed
+        return None
+
+    def _exact_probe(self, query: np.ndarray, target: int) -> list[int]:
+        """The exact walk: lists by stable argsort of the exact squared
+        centroid distances."""
         d2 = ((self.centroids - query[None, :]) ** 2).sum(axis=1)
-        return np.argsort(d2, kind="stable")
+        return _walk(np.argsort(d2, kind="stable"), self.lists, target)[0]
 
 
 # VectorStore's per-row arrays besides the vector matrix, with their dtypes.
@@ -253,6 +362,7 @@ _FIELDS = {
     "_value": np.float64,  # cache value
     "_slot": np.int64,  # inserted_at
     "_pair": np.int64,
+    "_sq": np.float64,  # squared norm of the row's vector
 }
 
 
@@ -348,6 +458,7 @@ class VectorStore:
                 new[:row] = old
                 setattr(self, name, new)
         self._vecs[row] = vec
+        self._sq[row] = self._vecs[row].dot(self._vecs[row])
         self._rid[row] = self._next_rid
         self._next_rid += 1
         self._kind[row] = kind
@@ -414,42 +525,54 @@ class VectorStore:
         # Rows are in rid order, so distance ties break by rid.
         order = np.lexsort((rows, dists))[:width]
         hit, dists = rows[order], dists[order]
-        kinds, freqs = self._kind[hit], self._freq[hit]
-        columns = np.array([1.0 / (1.0 + dists), kinds, freqs], dtype=float)
         hits = (
             self._rid[hit],
             vecs[order],
-            kinds,
-            freqs,
+            self._kind[hit],
+            self._freq[hit],
             self._value[hit],
             self._slot[hit],
             self._pair[hit],
             dists,
         )
-        return CorrelationSet._of_hits(hits, columns)
+        return CorrelationSet._of_hits(hits)
 
     def exact_knn(self, query: np.ndarray, width: int) -> CorrelationSet:
-        """Exact nearest neighbours by full scan; the reference for the index."""
+        """Exact nearest neighbours; the reference for the index.
+
+        Equal, bit for bit, to scoring every row.  Rows are ranked by
+        ``|x|^2 - 2 x.q`` from the kept squared norms, and only the rows
+        within :func:`_rounding_margin` of the ``width``-th value are scored:
+        every other row is strictly farther than ``width`` scored rows.
+        """
         self._check_query(query, width)
-        return self._score(np.arange(self._n), query, width)
+        n = self._n
+        rows = np.arange(n)
+        if n > width:
+            sq = self._sq[:n]
+            g = sq + self._vecs[:n] @ (-2.0 * query)
+            bound = float(np.partition(g, width - 1)[width - 1])
+            bound += _rounding_margin(self.dim, sq.max(), query)
+            # ``not >`` keeps every row when a value or the bound is NaN.
+            rows = np.flatnonzero(~(g > bound))
+        return self._score(rows, query, width)
 
     def query(self, query: np.ndarray, width: int) -> CorrelationSet:
         """Approximate nearest neighbours through the IVF index.
 
         Probes inverted lists in ascending centroid distance until at least
         ``max(min_candidates, width)`` candidates are collected, then scores
-        those candidates exactly.
+        those candidates exactly.  A single-list store is an exact scan.
         """
+        if self.nlist == 1:
+            return self.exact_knn(query, width)
         self._check_query(query, width)
         index = self._index
         if index is None:  # the store is empty
             return CorrelationSet([])
-        target = max(self.min_candidates, width)
         candidates: list[int] = []
-        for li in index.probe_order(query):
+        for li in index.probe_order(query, max(self.min_candidates, width)):
             candidates.extend(index.lists[li])
-            if len(candidates) >= target:
-                break
         return self._score(np.array(candidates), query, width)
 
     def _check_query(self, query: np.ndarray, width: int) -> None:

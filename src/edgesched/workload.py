@@ -17,7 +17,7 @@ import json
 import logging
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -54,6 +54,7 @@ class TopicSet:
 
     centroids: np.ndarray  # (num_topics, dim), unit rows
     answer_offsets: np.ndarray  # (num_topics, dim), unit rows
+    _references: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.centroids.shape != self.answer_offsets.shape:
@@ -61,6 +62,7 @@ class TopicSet:
                 f"centroids {self.centroids.shape} and answer_offsets "
                 f"{self.answer_offsets.shape} must have matching shapes"
             )
+        object.__setattr__(self, "_references", [None] * self.num_topics)
 
     @property
     def num_topics(self) -> int:
@@ -71,8 +73,17 @@ class TopicSet:
         return self.centroids.shape[1]
 
     def reference_for(self, topic: int) -> np.ndarray:
-        """Deterministic ideal-answer vector for ``topic``."""
-        return unit(self.centroids[topic] + self.answer_offsets[topic])
+        """Deterministic ideal-answer vector for ``topic``.
+
+        Computed on the topic's first request and shared, read-only, by
+        every later one.
+        """
+        ref = self._references[topic]
+        if ref is None:
+            ref = unit(self.centroids[topic] + self.answer_offsets[topic])
+            ref.flags.writeable = False
+            self._references[topic] = ref
+        return ref
 
 
 def generate_topics(num_topics: int, dim: int, seed: int) -> TopicSet:

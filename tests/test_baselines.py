@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from edgesched import baselines
 from edgesched.baselines import (
     ABLATIONS,
     DecisionContext,
@@ -245,6 +246,30 @@ class TestLearnedPolicy:
         choice, prob = pol.decide(make_ctx(corr_of(0.2)))
         assert choice.a == 0
         assert prob == pytest.approx(0.5)
+
+
+class TestHeuristicDecisions:
+    def test_decide_without_features_from_shared_choices(self):
+        env = make_env(n_servers=2)
+        shared = baselines._CHOICES
+        for pol in (ThresholdPolicy(0.3), PayoffGreedyPolicy(env), RandomPolicy(env)):
+            assert not pol.reads_features
+            for corr in (corr_of(), corr_of(0.01, 0.5), corr_of(0.9)):
+                for rid in range(6):
+                    ctx = DecisionContext(
+                        corr=corr,
+                        corr_features=None,
+                        question_vec=np.eye(8)[0],
+                        server=rid % 2,
+                        request_id=rid,
+                    )
+                    choice, _ = pol.decide(ctx)
+                    assert choice is shared[choice.a]
+        assert LearnedPolicy.reads_features
+
+    def test_shared_choices_are_frozen(self):
+        with pytest.raises(AttributeError):
+            baselines._CHOICES[0].a = 1
 
 
 class TestAblations:

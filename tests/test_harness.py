@@ -18,6 +18,7 @@ from hypothesis import given, strategies as st
 
 import edgesched
 from edgesched import harness, seeding, simenv
+from edgesched.baselines import LearnedPolicy
 from edgesched.config import ExperimentConfig, load_config, policy_kind
 from edgesched.errors import ConfigError, ParseError
 from edgesched.harness import (
@@ -642,6 +643,57 @@ class TestRunExperiment:
         assert calls == ([(cfg.seed, seeding.DOMAIN_DEMO)] if policy == "lrs" else [])
 
 
+class TestFeaturePath:
+    """Correlation features are built only where something reads them."""
+
+    @staticmethod
+    def count_features(monkeypatch):
+        calls = []
+        real = harness.correlation_features
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return real(matrix)
+
+        monkeypatch.setattr(harness, "correlation_features", counted)
+        return calls
+
+    @pytest.mark.parametrize("mode", ["nearest", "broadcast"])
+    @pytest.mark.parametrize("policy", ["greedy-0.3", "greedy-llm", "random"])
+    def test_heuristic_runs_build_none(self, policy, mode, monkeypatch):
+        calls = self.count_features(monkeypatch)
+        report = run_experiment(tiny_cfg(policy=policy, mode=mode, servers=3))
+        assert report.test.requests == 12
+        assert calls == []
+
+    @pytest.mark.parametrize("mode", ["nearest", "broadcast"])
+    def test_lrs_builds_them_for_demos_training_and_testing(self, mode, monkeypatch):
+        calls = self.count_features(monkeypatch)
+        cfg = learned_cfg("lrs", mode=mode, servers=3)
+        test_rows = cfg.test_slots * cfg.servers * (cfg.servers if mode == "broadcast" else 1)
+        seen = []
+        real_decide = LearnedPolicy.decide
+
+        def decide(policy, ctx):
+            seen.append(ctx.corr_features.shape)
+            return real_decide(policy, ctx)
+
+        monkeypatch.setattr(LearnedPolicy, "decide", decide)
+        run_experiment(cfg)
+        # one row per request: demo slots plus the bootstrap slot, the
+        # training slots, and every test decision
+        demo_rows = (cfg.demo_slots + 1) * cfg.servers
+        assert len(calls) == demo_rows + cfg.train_slots * cfg.servers + test_rows
+        assert seen == [(3 * cfg.query_width,)] * test_rows
+
+    def test_demo_recording_builds_them(self, monkeypatch):
+        calls = self.count_features(monkeypatch)
+        cfg = learned_cfg("lrs", servers=3)
+        demos = build_expert_demos(cfg)
+        assert len(calls) == (cfg.demo_slots + 1) * cfg.servers
+        assert len(demos) == cfg.demo_slots * cfg.servers
+
+
 class TestWorkloadReplay:
     def export(self, tmp_path, cfg):
         topics = generate_topics(cfg.topics, cfg.dim, cfg.seed)
@@ -765,7 +817,7 @@ class TestInvariantChecks:
         assert run_invariant_checks(out) is True
         text = out.getvalue()
         assert "FAIL" not in text
-        assert text.count("ok:") == 4
+        assert text.count("ok:") == 5
 
 
 CLI_INI = """

@@ -8,6 +8,7 @@ from edgesched.vecstore import (
     _cluster_means,
     CorrelationEntry,
     CorrelationSet,
+    IvfIndex,
     RecordKind,
     VectorRecord,
     VectorStore,
@@ -499,3 +500,224 @@ def test_cluster_means_match_member_means_bitwise(seed, n, k, dim, grid):
         if members.shape[0]:
             want[j] = members.mean(axis=0)
     assert np.array_equal(_cluster_means(vecs, assign, centroids), want)
+
+
+# -- guarded rankings ---------------------------------------------------------
+#
+# The index ranks its lists, and the exact scan its rows, by one
+# matrix-vector product behind a rounding guard.  Each property compares
+# against the computation the store made before the guard: the exact stable
+# walk over all centroids, and scoring every row.
+
+
+def reference_walk(centroids, lists, query, target):
+    d2 = ((centroids - query[None, :]) ** 2).sum(axis=1)
+    probed, count = [], 0
+    for li in np.argsort(d2, kind="stable").tolist():
+        probed.append(li)
+        count += len(lists[li])
+        if count >= target:
+            break
+    return probed
+
+
+def _hits(corr):
+    return [
+        (
+            e.record.rid,
+            e.distance.hex(),  # NaN distances compare equal, bit for bit
+
+            e.record.vec.tolist(),
+            e.record.kind,
+            e.record.freq,
+            e.record.cache_value,
+            e.record.inserted_at,
+            e.record.pair_id,
+        )
+        for e in corr
+    ]
+
+
+def _check_probe(index, query, target):
+    got = [int(li) for li in index.probe_order(query, target)]
+    want = reference_walk(index.centroids, index.lists, query, target)
+    if sum(map(len, index.lists)) >= target:
+        assert got == want
+    else:  # every list is probed, in whatever order
+        assert sorted(got) == sorted(want) == list(range(index.nlist))
+    return got
+
+
+@st.composite
+def _indexes(draw):
+    k = draw(st.integers(1, 12))
+    dim = draw(st.sampled_from([1, 2, 3, 8]))
+    if draw(st.booleans()):  # a coarse grid: duplicated centroids and exact ties
+        cells = st.integers(-2, 2)
+        rows = st.lists(cells, min_size=dim, max_size=dim)
+        centroids = np.array(draw(st.lists(rows, min_size=k, max_size=k)), dtype=float)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        scale = draw(st.sampled_from([1e-160, 1e-3, 1.0, 1e3]))
+        centroids = rng.normal(size=(k, dim)) * scale
+        pairs = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
+        for i, j in draw(st.lists(pairs, max_size=3)):  # duplicated centroids
+            centroids[i] = centroids[j]
+    sizes = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
+    lists = [list(range(size)) for size in sizes]
+    return IvfIndex(centroids, lists)
+
+
+@st.composite
+def _probe_queries(draw, index):
+    centroids = index.centroids
+    k, dim = centroids.shape
+    kind = draw(st.sampled_from(["centroid", "midpoint", "grid", "normal"]))
+    if kind == "centroid":
+        return centroids[draw(st.integers(0, k - 1))].copy()
+    if kind == "midpoint":  # equidistant from two centroids
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        return (centroids[i] + centroids[j]) / 2.0
+    if kind == "grid":
+        cells = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+        return np.array(draw(cells), dtype=float)
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=dim)
+
+
+class TestGuardedProbe:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_probe_set_is_the_exact_stable_walk(self, data):
+        index = data.draw(_indexes())
+        query = data.draw(_probe_queries(index))
+        total = sum(map(len, index.lists))
+        target = data.draw(st.integers(1, total + 3))  # up to past the store size
+        _check_probe(index, query, target)
+
+    def test_duplicated_nearest_centroid_forces_the_exact_walk(self):
+        rng = np.random.default_rng(0)
+        centroids = rng.normal(size=(6, 8))
+        centroids = np.vstack([centroids, centroids[2]])  # list 6 duplicates list 2
+        index = IvfIndex(centroids, [[i] for i in range(7)])
+        assert index._ranked_probe(centroids[2], 2) is None
+        assert _check_probe(index, centroids[2], 2) == [2, 6]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_queries_take_the_exact_walk(self, bad):
+        rng = np.random.default_rng(1)
+        index = IvfIndex(rng.normal(size=(5, 4)), [[i] for i in range(5)])
+        query = rng.normal(size=4)
+        query[1] = bad
+        assert index._ranked_probe(query, 2) is None
+        _check_probe(index, query, 2)
+
+    def test_separated_centroids_take_the_ranked_walk(self):
+        rng = np.random.default_rng(2)
+        index = IvfIndex(rng.normal(size=(128, 16)), [[i, i] for i in range(128)])
+        for query in rng.normal(size=(50, 16)):
+            assert index._ranked_probe(query, 10) is not None
+            _check_probe(index, query, 10)
+
+    def test_store_queries_probe_the_exact_walk(self):
+        store = make_store(dim=16, nlist=32, seed=9)
+        fill(store, 400, seed=10)
+        store.rebuild_index()
+        rng = np.random.default_rng(11)
+        for query in rng.normal(size=(30, 16)):
+            lists = _check_probe(store._index, query, store.min_candidates)
+            rows = np.array([row for li in lists for row in store._index.lists[li]])
+            assert _hits(store.query(query, 5)) == _hits(store._score(rows, query, 5))
+
+
+def _full_scan(store, query, width):
+    return store._score(np.arange(len(store)), query, width)
+
+
+def _check_exact(store, query, width):
+    got = store.exact_knn(query, width)
+    want = _full_scan(store, query, width)
+    assert _hits(got) == _hits(want)
+    assert np.array_equal(got.columns, want.columns, equal_nan=True)
+    n = len(store)
+    vecs = store._vecs[:n]
+    assert np.array_equal(store._sq[:n], [v.dot(v) for v in vecs])
+
+
+class TestGuardedExactScan:
+    @_PROPERTY_SETTINGS
+    @given(ops=_OPS, query=_GRID_VECS, width=st.integers(1, 8))
+    def test_grid_stores_match_the_full_scan(self, ops, query, width):
+        # grid vectors: duplicate rows and exact distance ties are common
+        store = make_store(dim=_DIM, nlist=1, rebuild_every=3, seed=6)
+        _replay(store, ops)
+        _check_exact(store, query, width)
+        assert _hits(store.query(query, width)) == _hits(_full_scan(store, query, width))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 120),
+        dups=st.integers(0, 30),
+        scale=st.sampled_from([1e-160, 1e-3, 1.0, 1e3]),
+        width=st.integers(1, 12),
+        near=st.booleans(),
+    )
+    def test_float_stores_match_the_full_scan(self, seed, n, dups, scale, width, near):
+        rng = np.random.default_rng(seed)
+        vecs = rng.normal(size=(2 * n, 8)) * scale
+        for i in rng.integers(0, 2 * n, size=dups):
+            vecs[i] = vecs[rng.integers(0, 2 * n)]
+        store = make_store(dim=8, nlist=1)
+        for q, a in zip(vecs[0::2], vecs[1::2]):
+            store.insert_qa(q, a, slot=0, initial_cache_value=-1.0)
+        if near:  # a query at a stored vector: exact zero-distance ties
+            query = vecs[rng.integers(0, 2 * n)].copy()
+        else:
+            query = rng.normal(size=8) * scale
+        _check_exact(store, query, width)
+
+    def test_norms_follow_growth_and_eviction(self):
+        store = make_store(dim=8, nlist=1)
+        fill(store, 40, seed=12)  # 80 rows: the arrays double past 16, 32 and 64
+        for rid in range(0, 80, 3):
+            store.update_cache_value(store.record(rid), -0.01, 0.01)
+        assert store.evict(slot=1) > 0
+        query = random_unit(np.random.default_rng(13), 8)
+        for width in (1, 5, len(store), len(store) + 3):
+            _check_exact(store, query, width)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_queries_score_every_row(self, bad):
+        store = make_store(dim=8, nlist=1)
+        fill(store, 10, seed=14)
+        query = np.ones(8)
+        query[3] = bad
+        _check_exact(store, query, 3)
+
+
+class TestLazyColumns:
+    def test_entries_and_query_results_agree(self):
+        store = make_store(dim=8, nlist=4)
+        fill(store, 30, seed=15)
+        rng = np.random.default_rng(16)
+        for width in (1, 3, 7):
+            queried = store.query(random_unit(rng, 8), width)
+            rebuilt = CorrelationSet(list(queried))
+            assert np.array_equal(rebuilt.columns, queried.columns)
+            for w in (1, width, width + 2):
+                assert np.array_equal(rebuilt.matrix(w), queried.matrix(w))
+            nearest = queried.best().distance
+            assert queried.nearest_distance() == rebuilt.nearest_distance() == nearest
+
+    def test_a_fresh_result_reports_its_nearest_without_building_records(self):
+        store = make_store(dim=8)
+        fill(store, 5, seed=17)
+        got = store.query(random_unit(np.random.default_rng(18), 8), 3)
+        assert got.nearest_distance() == float(got._hits[7][0])
+        assert got._entries == [None] * 3 and got._columns is None
+
+    def test_empty_sets(self):
+        for empty in (CorrelationSet([]), make_store().query(np.ones(16), 2)):
+            assert empty.nearest_distance() is None
+            assert empty.columns.shape == (3, 0)
+            assert np.array_equal(empty.matrix(2), np.zeros((3, 2)))

@@ -67,6 +67,19 @@ class TestTopics:
         expected /= np.linalg.norm(expected)
         assert np.allclose(r1, expected, atol=1e-15)
 
+    def test_reference_is_computed_once_and_read_only(self):
+        topics = generate_topics(10, 16, seed=2)
+        ref = topics.reference_for(4)
+        assert topics.reference_for(4) is ref
+        assert np.array_equal(ref, unit(topics.centroids[4] + topics.answer_offsets[4]))
+        assert not ref.flags.writeable
+        with pytest.raises(ValueError):
+            ref[0] = 0.0
+        gen = WorkloadGenerator(topics, 2, 4, 0.9, 0.05, seed=3)
+        reqs = [r for slot in range(20) for r in gen.slot_requests(slot)]
+        for r in reqs:
+            assert r.reference_vec is topics.reference_for(r.topic)
+
     def test_invalid_arguments(self):
         with pytest.raises(ConfigError):
             generate_topics(0, 64, seed=0)
