@@ -6,7 +6,8 @@ Usage, from the repository root::
 
 Every run in :data:`RUNS` writes ``<name>.csv`` (its CSV report) and
 ``<name>.transitions.jsonl`` (its transition log) into this directory,
-replacing what is there.  The 16 runs are the seven policies in both
+replacing what is there, and ``bench-digests.json`` records the SHA-256 of
+each ``bench/workloads.py`` workload's CSV report at seed 0.  The 16 runs are the seven policies in both
 test-phase routing modes at the acceptance suite's determinism config, plus:
 one mid-size heuristic run in broadcast mode that serves, enhances and goes
 direct thousands of times and passes four eviction sweeps, and one ``lrs``
@@ -15,6 +16,9 @@ run with enough expert demonstrations that its PPO batches mix demo rows in.
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
+import json
 import os
 import sys
 import tempfile
@@ -22,6 +26,7 @@ from dataclasses import replace
 from pathlib import Path
 
 GOLDEN_DIR = Path(__file__).resolve().parent
+DIGESTS = GOLDEN_DIR / "bench-digests.json"
 
 if str(GOLDEN_DIR.parent) not in sys.path:  # run as a script
     sys.path.insert(0, str(GOLDEN_DIR.parent))
@@ -67,6 +72,18 @@ def _runs() -> dict[str, ExperimentConfig]:
 RUNS = _runs()
 
 
+def _bench_workloads() -> dict[str, dict]:
+    """``bench/workloads.py``'s ``WORKLOADS``, loaded from its file."""
+    path = GOLDEN_DIR.parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+BENCH_WORKLOADS = _bench_workloads()
+
+
 def write_run(name: str) -> list[str]:
     """Run ``RUNS[name]`` and write its two files into the current directory.
 
@@ -80,11 +97,25 @@ def write_run(name: str) -> list[str]:
     return [f"{name}.csv", log_name]
 
 
+def bench_digest(workload: str) -> str:
+    """The SHA-256 of ``workload``'s CSV report at seed 0, written as
+    ``bench/child.py`` writes it."""
+    cfg = ExperimentConfig(seed=0, **BENCH_WORKLOADS[workload]["config"])
+    cfg.validate()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.csv"
+        emit_report(run_experiment(cfg), path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def main() -> None:
     os.chdir(GOLDEN_DIR)
     for name in RUNS:
         for file_name in write_run(name):
             print(f"wrote {GOLDEN_DIR / file_name}")
+    digests = {name: bench_digest(name) for name in sorted(BENCH_WORKLOADS)}
+    DIGESTS.write_text(json.dumps(digests, indent=2) + "\n")
+    print(f"wrote {DIGESTS}")
 
 
 if __name__ == "__main__":

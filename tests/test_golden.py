@@ -6,17 +6,34 @@ mode at the determinism config, one mid-size heuristic broadcast run, and one
 ``lrs`` run whose PPO batches mix in expert demonstrations.  A refactor must
 leave every file byte-identical.
 
+``tests/golden/bench-digests.json`` holds the SHA-256 of the CSV report of
+each ``bench/workloads.py`` workload at seed 0: the default configuration
+with its 128-list index, rebuild cadence and eviction sweep, which no
+golden run uses.  The tests here rerun them in process, as
+``bench/child.py`` does, in about 11 s.
+
 The goldens depend on numpy's and the BLAS library's floating-point
 arithmetic.  When the machine, numpy or BLAS changes, regenerate them with
 ``PYTHONPATH=src python tests/golden/make_goldens.py`` at a commit whose
 results are trusted, and record the regeneration in CHANGES.md.  Never
 loosen the comparison.  A deliberate behaviour change regenerates them in the
-same change that makes it.
+same change that makes it.  ``make_goldens.py`` rewrites the digest file
+with the goldens, so the same rule holds for it: a change that moves a
+digest regenerates it and records the move in CHANGES.md.
 """
+
+import json
 
 import pytest
 
-from golden.make_goldens import GOLDEN_DIR, RUNS, write_run
+from golden.make_goldens import (
+    BENCH_WORKLOADS,
+    DIGESTS,
+    GOLDEN_DIR,
+    RUNS,
+    bench_digest,
+    write_run,
+)
 
 
 def test_every_golden_file_belongs_to_a_run():
@@ -26,9 +43,18 @@ def test_every_golden_file_belongs_to_a_run():
     assert on_disk == expected
 
 
+def test_every_bench_workload_has_a_digest():
+    assert set(json.loads(DIGESTS.read_text())) == set(BENCH_WORKLOADS)
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_run_matches_golden(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for file_name in write_run(name):
         fresh = (tmp_path / file_name).read_bytes()
         assert fresh == (GOLDEN_DIR / file_name).read_bytes(), file_name
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_WORKLOADS))
+def test_bench_workload_matches_digest(workload):
+    assert bench_digest(workload) == json.loads(DIGESTS.read_text())[workload]
