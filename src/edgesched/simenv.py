@@ -28,13 +28,8 @@ import numpy as np
 from .errors import ConfigError
 from .seeding import DOMAIN_ANSWER, DOMAIN_DELAY, KeyedStreams
 from .seeding import substream  # noqa: F401  (bench/tracer.py wraps this binding)
-from .vecstore import (
-    CorrelationSet,
-    RecordKind,
-    VectorStore,
-    clamp_negative,
-    filter_best,
-)
+from .vecstore import CorrelationSet, VectorStore, best_hit, clamp_negative
+from .vecstore import filter_best  # noqa: F401  (bench/tracer.py wraps this binding)
 from .workload import Request, random_unit
 
 log = logging.getLogger(__name__)
@@ -247,11 +242,12 @@ class EdgeEnv:
     ):
         """Map (action, correlations) to a concrete route.
 
-        Returns (resolved label, matched entry or None, answer record to
-        serve or None, fallback flag).
+        Returns (resolved label, matched hit's store row and distance, answer
+        vector to serve, fallback flag); the row, distance and answer are
+        None where they do not apply.
         """
         if action.a == DIRECT_CLOUD:
-            return "B", None, None, False
+            return "B", None, None, None, False
         if not len(corr):
             log.debug(
                 "slot %d server %d: cache path requested on empty correlations; "
@@ -259,22 +255,21 @@ class EdgeEnv:
                 request.slot,
                 store.server,
             )
-            return "B", None, None, True
-        entry = filter_best(corr, self.filter_value_weight, self.filter_freq_weight)
-        rec = entry.record
+            return "B", None, None, None, True
+        i = best_hit(corr, self.filter_value_weight, self.filter_freq_weight)
+        row, question, answer = store.hit_pair(corr, i)
+        dist = float(corr.hits.distance[i])
         # Serve only when the matched pair's question lies within tau_serve
         # of the query and its answer half is still stored.
-        if rec.kind == RecordKind.QUESTION:
-            qdist = entry.distance
-            answer_rec = store.pair_record(rec.pair_id, RecordKind.ANSWER)
+        if question is None:
+            qdist = np.inf
+        elif corr.hits.kind[i] == 1:  # kind code 1: the hit is the question
+            qdist = dist
         else:
-            answer_rec = rec
-            q_rec = store.pair_record(rec.pair_id, RecordKind.QUESTION)
-            q = request.question_vec
-            qdist = np.inf if q_rec is None else _distance(q, q_rec.vec)
-        if qdist < self.tau_serve and answer_rec is not None:
-            return "A", entry, answer_rec, False
-        return "C", entry, None, False
+            qdist = _distance(request.question_vec, question)
+        if qdist < self.tau_serve and answer is not None:
+            return "A", row, dist, answer, False
+        return "C", row, dist, None, False
 
     # -- stepping ----------------------------------------------------------
 
@@ -294,12 +289,12 @@ class EdgeEnv:
             if correlations is not None
             else store.query(request.question_vec, self.query_width)
         )
-        resolved, entry, answer_rec, fallback = self._resolve(
+        resolved, row, dist, answer, fallback = self._resolve(
             store, request, action, corr
         )
         delay_rng = self._delay_streams(request.id, n)
         if resolved == "A":
-            answer_vec = answer_rec.vec.copy()
+            answer_vec = answer.copy()
             d = self.delay_model.sample_edge(delay_rng)
         else:
             # Only cloud answers draw noise, so only they build the answer stream.
@@ -307,7 +302,7 @@ class EdgeEnv:
                 sigma = self.answer_model.sigma_llm
                 d = self.delay_model.sample_cloud(delay_rng)
             else:  # 'C': retrieval plus an enhanced cloud call, delays add up
-                relevant = entry.distance < self.answer_model.relevance_radius
+                relevant = dist < self.answer_model.relevance_radius
                 sigma = (
                     self.answer_model.sigma_enhance
                     if relevant
@@ -324,7 +319,7 @@ class EdgeEnv:
         # value; cloud answers (B, C) are cached as a fresh pair seeded with
         # this payoff.
         if resolved != "B":
-            store.update_cache_value(entry.record, q, d)
+            store.refresh(row, q, d)
         if resolved != "A":
             store.insert_qa(
                 request.question_vec, answer_vec, request.slot, clamp_negative(q - d)

@@ -3,8 +3,9 @@
 Each edge server keeps question and answer vectors from past requests in a
 store searched through an IVF-flat index: a seeded k-means partitions the
 vectors into inverted lists, queries probe the nearest lists until enough
-candidates are gathered, and the candidates are then scored exactly.  With a
-single list the index degenerates to an exact scan.
+candidates are gathered, and the candidates are then scored exactly.  A
+single-list store keeps no index and scans.  A query's hits name their store
+rows, and a cache hit is served and refreshed by its row.
 
 Every record carries a cache value — a running estimate of the quality-minus-
 delay payoff of reusing it — which drives both retrieval filtering and the
@@ -14,7 +15,8 @@ periodic eviction sweep that drops below-average records.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from typing import Sequence
 
@@ -28,8 +30,10 @@ __all__ = [
     "VectorRecord",
     "CorrelationEntry",
     "CorrelationSet",
+    "Hits",
     "IvfIndex",
     "VectorStore",
+    "best_hit",
     "filter_best",
     "clamp_negative",
 ]
@@ -63,6 +67,7 @@ class VectorRecord:
 
 
 _KINDS = (None, RecordKind.QUESTION, RecordKind.ANSWER)  # indexed by kind code
+_RECORD_FIELDS = [f.name for f in fields(VectorRecord)]
 
 
 @dataclass(frozen=True)
@@ -78,83 +83,71 @@ class CorrelationEntry:
         return 1.0 / (1.0 + self.distance)
 
 
+# A query's hits, nearest first: per-hit arrays of store row, rid, vector,
+# kind code, freq, cache value, insert slot, pair id and distance.
+Hits = namedtuple("Hits", "row rid vec kind freq value slot pair distance")
+
+
 class CorrelationSet:
     """Search results for one query, ordered by ascending distance.
 
+    ``hits`` holds them as one table of arrays.  A store's query result
+    names each hit's row in that store; a set built from entries has row -1.
     ``columns`` is a (3, len) array of similarity, kind code and use count
-    per entry, built when first read.  A set built from entries computes it
-    from them; a store's query result holds its hits' fields as arrays and
-    makes each entry only when it is first read.
+    per hit, built when first read.  ``self[i]`` copies hit ``i`` out.
     """
 
     def __init__(self, entries: Sequence[CorrelationEntry]):
-        self._entries = list(entries)
-        self._hits = None
+        recs = [e.record for e in entries]
+        cols = [np.array([getattr(r, name) for r in recs]) for name in _RECORD_FIELDS]
+        dist = np.array([e.distance for e in entries], dtype=float)
+        self.hits = Hits(np.full(len(recs), -1), *cols, dist)
+        self._store = None
         self._columns = None
 
     @classmethod
-    def _of_hits(cls, hits: tuple) -> CorrelationSet:
-        """A set over ``hits``: per-hit arrays of rid, vector, kind code,
-        freq, cache value, insert slot, pair id and distance."""
+    def _of_hits(cls, hits: Hits, store: VectorStore) -> CorrelationSet:
         out = cls.__new__(cls)
-        out._entries = [None] * len(hits[0])
-        out._hits = hits
-        out._columns = None
+        out.hits, out._store, out._columns = hits, store, None
         return out
 
     @property
     def columns(self) -> np.ndarray:
         if self._columns is None:
-            if self._hits is None:
-                rows = [
-                    (e.similarity, float(e.record.kind), float(e.record.freq))
-                    for e in self._entries
-                ]
-                self._columns = np.array(rows, dtype=float).reshape(-1, 3).T
-            else:
-                _, _, kinds, freqs, _, _, _, dists = self._hits
-                self._columns = np.array(
-                    [1.0 / (1.0 + dists), kinds, freqs], dtype=float
-                )
+            h = self.hits
+            self._columns = np.array(
+                [1.0 / (1.0 + h.distance), h.kind, h.freq], dtype=float
+            )
         return self._columns
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.hits.row)
 
     def __iter__(self):
-        return iter(self.entries)
+        return map(self.__getitem__, range(len(self)))
 
-    def __getitem__(self, i: int) -> CorrelationEntry:
-        entry = self._entries[i]
-        if entry is None:
-            rid, vec, kind, freq, value, slot, pair, dist = self._hits
-            record = VectorRecord(
-                int(rid[i]),
-                vec[i],
-                _KINDS[kind[i]],
-                int(freq[i]),
-                float(value[i]),
-                int(slot[i]),
-                int(pair[i]),
-            )
-            entry = self._entries[i] = CorrelationEntry(record, float(dist[i]))
-        return entry
-
-    @property
-    def entries(self) -> list[CorrelationEntry]:
-        return [self[i] for i in range(len(self))]
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        h = self.hits
+        record = VectorRecord(
+            int(h.rid[i]),
+            h.vec[i],
+            _KINDS[h.kind[i]],
+            int(h.freq[i]),
+            float(h.value[i]),
+            int(h.slot[i]),
+            int(h.pair[i]),
+        )
+        return CorrelationEntry(record, float(h.distance[i]))
 
     def best(self) -> CorrelationEntry | None:
         """Nearest entry, or None when empty."""
-        return self[0] if self._entries else None
+        return self[0] if len(self) else None
 
     def nearest_distance(self) -> float | None:
-        """The nearest entry's distance, or None when empty; builds no record."""
-        if not self._entries:
-            return None
-        if self._hits is None:
-            return self._entries[0].distance
-        return float(self._hits[7][0])
+        """The nearest hit's distance, or None when empty; builds no record."""
+        return float(self.hits.distance[0]) if len(self) else None
 
     def matrix(self, width: int) -> np.ndarray:
         """A (3, width) summary: similarity, kind code, and use count per hit.
@@ -163,17 +156,17 @@ class CorrelationSet:
         record can produce (similarity > 0, kind >= 1).
         """
         out = np.zeros((3, width))
-        k = min(width, len(self._entries))
+        k = min(width, len(self))
         out[:, :k] = self.columns[:, :k]
         return out
 
 
-def filter_best(
+def best_hit(
     correlations: CorrelationSet, value_weight: float, freq_weight: float
-) -> CorrelationEntry:
-    """Pick the entry maximizing ``value_weight * similarity + freq_weight * freq``.
+) -> int:
+    """The hit maximizing ``value_weight * similarity + freq_weight * freq``.
 
-    Ties go to the entry nearest the query (the set is distance-ordered and
+    Ties go to the hit nearest the query (the set is distance-ordered and
     argmax keeps the first maximum).  Raises :class:`EmptyCorrelationError`
     on an empty set.
     """
@@ -181,7 +174,14 @@ def filter_best(
         raise EmptyCorrelationError("cannot filter an empty correlation set")
     columns = correlations.columns
     scores = value_weight * columns[0] + freq_weight * columns[2]
-    return correlations[int(scores.argmax())]
+    return int(scores.argmax())
+
+
+def filter_best(
+    correlations: CorrelationSet, value_weight: float, freq_weight: float
+) -> CorrelationEntry:
+    """The entry at :func:`best_hit`."""
+    return correlations[best_hit(correlations, value_weight, freq_weight)]
 
 
 def _nearest_centroid(
@@ -420,30 +420,34 @@ class VectorStore:
         """How many times the coarse quantizer has been retrained."""
         return self._builds
 
-    def _row_of(self, rid: int) -> int | None:
+    def _row_of(self, rid: int) -> int:
         row = int(self._rid[: self._n].searchsorted(rid))
-        return row if row < self._n and self._rid[row] == rid else None
+        if row < self._n and self._rid[row] == rid:
+            return row
+        raise KeyError(f"record {rid} is not in this store")
 
-    def _record(self, row: int) -> VectorRecord:
-        return VectorRecord(
-            rid=int(self._rid[row]),
-            vec=self._vecs[row].copy(),
-            kind=_KINDS[self._kind[row]],
-            freq=int(self._freq[row]),
-            cache_value=float(self._value[row]),
-            inserted_at=int(self._slot[row]),
-            pair_id=int(self._pair[row]),
+    def _hit_set(self, rows: np.ndarray, dists: np.ndarray) -> CorrelationSet:
+        """``rows`` as hits at distances ``dists``."""
+        hits = Hits(
+            rows,
+            self._rid[rows],
+            self._vecs[rows],
+            self._kind[rows],
+            self._freq[rows],
+            self._value[rows],
+            self._slot[rows],
+            self._pair[rows],
+            dists,
         )
+        return CorrelationSet._of_hits(hits, self)
 
     def record(self, rid: int) -> VectorRecord:
-        row = self._row_of(rid)
-        if row is None:
-            raise KeyError(rid)
-        return self._record(row)
+        return self._hit_set(np.array([self._row_of(rid)]), np.zeros(1))[0].record
 
     def records(self) -> list[VectorRecord]:
         """Every live record, in rid order."""
-        return [self._record(row) for row in range(self._n)]
+        n = self._n
+        return [e.record for e in self._hit_set(np.arange(n), np.zeros(n))]
 
     # -- insertion ---------------------------------------------------------
 
@@ -501,41 +505,39 @@ class VectorStore:
             self.rebuild_index()
         return self._next_rid - 2, self._next_rid - 1
 
-    # -- pair lookups ------------------------------------------------------
+    # -- cache hits --------------------------------------------------------
 
-    def pair_record(self, pair_id: int, kind: RecordKind) -> VectorRecord | None:
-        # Pair ids grow with rid, so the (at most two) rows of a pair are
-        # adjacent and sorted by pair id.
+    def hit_pair(
+        self, corr: CorrelationSet, i: int
+    ) -> tuple[int, np.ndarray | None, np.ndarray | None]:
+        """Hit ``i``'s row in this store and the question and answer vectors
+        of its pair; a half that has been evicted is None.  A question (kind
+        code 1) is stored just before its answer: the partner is adjacent.
+
+        Raises ``KeyError`` unless ``corr`` is this store's query result and
+        the row still holds the hit's record (an eviction sweep moves rows).
+        """
+        row = int(corr.hits.row[i])
         n = self._n
-        first = int(self._pair[:n].searchsorted(pair_id))
-        for row in range(first, min(first + 2, n)):
-            if self._pair[row] == pair_id and int(self._kind[row]) == kind:
-                return self._record(row)
-        return None
+        if corr._store is not self or row >= n or self._rid[row] != corr.hits.rid[i]:
+            raise KeyError(f"hit {i} is not a live row of this store")
+        question, answer = (row, row + 1) if self._kind[row] == 1 else (row - 1, row)
+        pair = self._pair[row]
+        return row, *[
+            self._vecs[r] if 0 <= r < n and self._pair[r] == pair else None
+            for r in (question, answer)
+        ]
 
     # -- search ------------------------------------------------------------
 
     def _score(self, rows: np.ndarray, query: np.ndarray, width: int) -> CorrelationSet:
-        if not rows.size:
-            return CorrelationSet([])
         vecs = self._vecs[rows]
         diff = vecs - query[None, :]
         # np.linalg.norm(diff, axis=1)'s own formula, without its dispatch.
         dists = np.sqrt((diff * diff).sum(axis=1))
         # Rows are in rid order, so distance ties break by rid.
         order = np.lexsort((rows, dists))[:width]
-        hit, dists = rows[order], dists[order]
-        hits = (
-            self._rid[hit],
-            vecs[order],
-            self._kind[hit],
-            self._freq[hit],
-            self._value[hit],
-            self._slot[hit],
-            self._pair[hit],
-            dists,
-        )
-        return CorrelationSet._of_hits(hits)
+        return self._hit_set(rows[order], dists[order])
 
     def exact_knn(self, query: np.ndarray, width: int) -> CorrelationSet:
         """Exact nearest neighbours; the reference for the index.
@@ -562,14 +564,13 @@ class VectorStore:
 
         Probes inverted lists in ascending centroid distance until at least
         ``max(min_candidates, width)`` candidates are collected, then scores
-        those candidates exactly.  A single-list store is an exact scan.
+        those candidates exactly.  A store without an index (a single-list
+        or an empty one) is an exact scan.
         """
-        if self.nlist == 1:
+        index = self._index
+        if index is None:
             return self.exact_knn(query, width)
         self._check_query(query, width)
-        index = self._index
-        if index is None:  # the store is empty
-            return CorrelationSet([])
         candidates: list[int] = []
         for li in index.probe_order(query, max(self.min_candidates, width)):
             candidates.extend(index.lists[li])
@@ -584,10 +585,11 @@ class VectorStore:
     # -- index maintenance -------------------------------------------------
 
     def rebuild_index(self) -> IvfIndex | None:
-        """Re-cluster all records into fresh inverted lists."""
+        """Re-cluster all records into fresh inverted lists.  An empty or a
+        single-list store keeps no index: its queries scan every row."""
         self._inserts_since_build = 0
         n = self._n
-        if not n:
+        if not n or self.nlist == 1:
             self._index = None
             return None
         k = min(self.nlist, n)
@@ -602,20 +604,13 @@ class VectorStore:
 
     # -- cache-value dynamics ----------------------------------------------
 
-    def update_cache_value(self, record: VectorRecord, q: float, d: float) -> float:
-        """Refresh a record after a cache hit: halve-toward ``q - d``, bump freq.
+    def refresh(self, row: int, q: float, d: float) -> float:
+        """Refresh a row after a cache hit: halve-toward ``q - d``, bump freq.
 
         The new value is the mean of the old value and the observed payoff
         ``q - d``, so the value decays geometrically toward the recent payoff.
-        The store's row is updated and so is ``record``.
+        Returns the new value.
         """
-        row = self._row_of(record.rid)
-        if (
-            row is None
-            or int(self._pair[row]) != record.pair_id
-            or int(self._kind[row]) != record.kind
-        ):
-            raise KeyError(f"record {record.rid} is not in this store")
         if q >= 0.0:
             raise ValueError(f"satisfaction must be strictly negative, got {q}")
         if d <= 0.0:
@@ -623,9 +618,19 @@ class VectorStore:
         value = (float(self._value[row]) + (q - d)) / 2.0
         self._value[row] = value
         self._freq[row] += 1
-        record.cache_value = value
-        record.freq = int(self._freq[row])
         return value
+
+    def update_cache_value(self, record: VectorRecord, q: float, d: float) -> float:
+        """:meth:`refresh` the row holding ``record``, and ``record`` with it."""
+        row = self._row_of(record.rid)
+        if (
+            int(self._pair[row]) != record.pair_id
+            or int(self._kind[row]) != record.kind
+        ):
+            raise KeyError(f"record {record.rid} is not in this store")
+        record.cache_value = self.refresh(row, q, d)
+        record.freq = int(self._freq[row])
+        return record.cache_value
 
     def mean_cache_value(self) -> float:
         """The live records' mean cache value.

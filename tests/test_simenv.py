@@ -1,6 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from edgesched import run_experiment
 from edgesched.errors import ConfigError
 from edgesched.seeding import DOMAIN_DELAY, substream
 from edgesched.simenv import (
@@ -10,12 +14,24 @@ from edgesched.simenv import (
     AnswerModel,
     DelayModel,
     EdgeEnv,
+    Transition,
     qos_cost,
     reward,
     satisfaction,
 )
-from edgesched.vecstore import RecordKind, VectorStore
-from edgesched.workload import Request
+from edgesched.vecstore import (
+    CorrelationEntry,
+    CorrelationSet,
+    IvfIndex,
+    RecordKind,
+    VectorRecord,
+    VectorStore,
+    best_hit,
+    clamp_negative,
+    filter_best,
+)
+from edgesched.workload import Request, random_unit
+from golden.make_goldens import RUNS
 
 E = np.eye(16)
 
@@ -389,3 +405,294 @@ class TestDeterminism:
         rng = substream(7, DOMAIN_DELAY, 1, 0)
         edge = env.delay_model.edge_query * float(rng.lognormal(0.0, 0.2))
         assert t.d == edge + env.delay_model.cloud_llm * float(rng.lognormal(0.0, 0.2))
+
+
+# -- the row path against the record path ------------------------------------
+#
+# ``RecordPathEnv.step`` serves a request the way EdgeEnv did when hits were
+# handed out as records: ``filter_best`` picks the entry, a scan of
+# ``records()`` finds its pair, and ``update_cache_value`` refreshes it by
+# rid.  EdgeEnv itself works on the hit's store row.
+
+
+class RecordPathEnv(EdgeEnv):
+    def step(self, request, action, correlations=None, action_prob=1.0, server=None):
+        # The noise and the Transition are built as in EdgeEnv.step.
+        n = request.server if server is None else server
+        store = self.stores[n]
+        corr = correlations
+        if corr is None:
+            corr = store.query(request.question_vec, self.query_width)
+        resolved, entry = "B", None
+        fallback = action.a == USE_CACHE and not len(corr)
+        if action.a == USE_CACHE and len(corr):
+            entry = filter_best(corr, self.filter_value_weight, self.filter_freq_weight)
+            rec = entry.record
+            pair = {r.kind: r for r in store.records() if r.pair_id == rec.pair_id}
+            question = pair.get(RecordKind.QUESTION)
+            answer = pair.get(RecordKind.ANSWER)
+            if rec.kind == RecordKind.QUESTION:
+                qdist = entry.distance
+            elif question is None:
+                qdist = np.inf
+            else:
+                qdist = float(np.linalg.norm(request.question_vec - question.vec))
+            resolved = "A" if qdist < self.tau_serve and answer is not None else "C"
+        delay_rng = self._delay_streams(request.id, n)
+        if resolved == "A":
+            answer_vec = answer.vec.copy()
+            d = self.delay_model.sample_edge(delay_rng)
+        else:
+            model = self.answer_model
+            if resolved == "B":
+                sigma = model.sigma_llm
+                d = self.delay_model.sample_cloud(delay_rng)
+            else:
+                relevant = entry.distance < model.relevance_radius
+                mislead = model.sigma_llm + model.sigma_mislead
+                sigma = model.sigma_enhance if relevant else mislead
+                d = self.delay_model.sample_edge(delay_rng)
+                d += self.delay_model.sample_cloud(delay_rng)
+            answer_rng = self._answer_streams(request.id, n)
+            answer_vec = request.reference_vec + sigma * random_unit(answer_rng, store.dim)
+        q = satisfaction(answer_vec, request.reference_vec)
+        if resolved != "B":
+            store.update_cache_value(entry.record, q, d)
+        if resolved != "A":
+            value = clamp_negative(q - d)
+            store.insert_qa(request.question_vec, answer_vec, request.slot, value)
+        self.fallback_count += fallback
+        self.action_counts[resolved] += 1
+        return Transition(
+            slot=request.slot,
+            server=n,
+            user=request.user,
+            request_id=request.id,
+            action=action.a,
+            resolved=resolved,
+            action_prob=action_prob,
+            q=q,
+            d=d,
+            r=self.reward(q, d),
+            fallback=fallback,
+            topic=request.topic,
+        )
+
+
+_SERVERS = 2
+_DIM = 4
+# Coarse grid vectors, mostly a tenth apart: duplicates, exact distance ties,
+# and distances on both sides of tau_serve (0.15) and the relevance radius (0.5).
+_VECS = st.tuples(
+    st.lists(st.integers(-1, 1), min_size=_DIM, max_size=_DIM),
+    st.sampled_from([0.1, 0.1, 0.3]),
+).map(lambda grid: np.array(grid[0], dtype=float) * grid[1])
+_ACTION = st.sampled_from([CACHE, CACHE, CLOUD])
+_SERVER = st.integers(0, _SERVERS - 1)
+_ENV_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), _SERVER, _VECS, _VECS, st.floats(-3.0, 0.2)),
+        st.tuples(st.just("step"), _SERVER, _VECS, _VECS, _ACTION, st.booleans()),
+        st.tuples(
+            st.just("broadcast"), _VECS, _VECS,
+            st.lists(_ACTION, min_size=_SERVERS, max_size=_SERVERS),
+        ),
+        st.tuples(st.just("evict")),
+        st.tuples(st.just("stale"), _SERVER, _VECS, _VECS, _VECS),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _env_pair(nlist):
+    """A row-path and a record-path env over equal, empty stores."""
+
+    def env(cls):
+        stores = [
+            VectorStore(_DIM, nlist, min_candidates=3, rebuild_every=5, server=i)
+            for i in range(_SERVERS)
+        ]
+        jitter = DelayModel(jitter_sigma=0.2)
+        return cls(stores, delay_model=jitter, query_width=3, seed=1)
+
+    return env(EdgeEnv), env(RecordPathEnv)
+
+
+def _store_state(env):
+    rows = [
+        [
+            (r.rid, r.vec.tolist(), r.kind, r.freq, r.cache_value, r.inserted_at, r.pair_id)
+            for r in store.records()
+        ]
+        for store in env.stores
+    ]
+    return rows, dict(env.action_counts), env.fallback_count
+
+
+def _moved(store, corr, weights):
+    """Whether the hit ``filter_best`` picks no longer holds its row."""
+    i = best_hit(corr, *weights)
+    row, rid = int(corr.hits.row[i]), int(corr.hits.rid[i])
+    return row >= len(store) or store.records()[row].rid != rid
+
+
+class TestRowPathMatchesRecordPath:
+    @settings(max_examples=80, deadline=None)
+    @given(ops=_ENV_OPS, nlist=st.sampled_from([1, 2]))
+    def test_same_stores_and_transitions(self, ops, nlist):
+        envs = _env_pair(nlist)
+        slot = 0
+        for op in ops:
+            slot += 1
+            for env in envs:
+                env.begin_slot(slot)  # evict_period 500: no sweep
+            kind = op[0]
+            if kind == "insert":
+                _, n, qv, av, value = op
+                for env in envs:
+                    env.stores[n].insert_qa(qv, av, slot, value)
+            elif kind == "step":
+                _, n, qv, ref, action, pass_corr = op
+                req = make_request(slot, qv, ref, server=n, slot=slot)
+                got = [
+                    env.step(req, action, env.correlations(n, qv) if pass_corr else None)
+                    for env in envs
+                ]
+                assert got[0] == got[1]
+            elif kind == "broadcast":
+                _, qv, ref, actions = op
+                req = make_request(slot, qv, ref, slot=slot)
+                got = [
+                    env.broadcast_step(
+                        req, actions, [env.correlations(n, qv) for n in range(_SERVERS)]
+                    )
+                    for env in envs
+                ]
+                assert got[0] == got[1]
+                assert envs[0].last_broadcast == envs[1].last_broadcast
+            elif kind == "evict":
+                for env in envs:
+                    env.evict_period = 1
+                    env.begin_slot(slot + 1)
+                    env.evict_period = 500
+                slot += 1
+            else:  # a set taken before an eviction sweep
+                _, n, qv, ref, sink = op
+                corrs = [env.correlations(n, qv) for env in envs]
+                for env in envs:  # sink one record, then sweep
+                    store = env.stores[n]
+                    if len(store):
+                        hit = store.query(sink, 1)[0].record
+                        store.update_cache_value(hit, -10.0, 1.0)
+                    env.evict_period = 1
+                    env.begin_slot(slot + 1)
+                    env.evict_period = 500
+                slot += 1
+                req = make_request(slot, qv, ref, server=n, slot=slot)
+                weights = (envs[0].filter_value_weight, envs[0].filter_freq_weight)
+                if len(corrs[0]) and _moved(envs[0].stores[n], corrs[0], weights):
+                    before = _store_state(envs[0])
+                    with pytest.raises(KeyError):
+                        envs[0].step(req, CACHE, corrs[0])
+                    assert _store_state(envs[0]) == before
+                else:
+                    got = [env.step(req, CACHE, c) for env, c in zip(envs, corrs)]
+                    assert got[0] == got[1]
+            assert _store_state(envs[0]) == _store_state(envs[1])
+
+
+class TestStepRejectsForeignHits:
+    def primed(self, n_servers=1):
+        env = make_env(n_servers=n_servers)
+        for n in range(n_servers):
+            env.step(make_request(n, E[0], E[2], server=n), CLOUD)
+        return env
+
+    def test_a_hand_built_set(self):
+        env = self.primed()
+        entries = list(env.correlations(0, E[0]))
+        with pytest.raises(KeyError):
+            env.step(make_request(9, E[0], E[2], slot=1), CACHE, CorrelationSet(entries))
+
+    def test_a_set_from_another_servers_store(self):
+        env = self.primed(n_servers=2)
+        corr = env.correlations(1, E[0])  # same rows and rids as server 0's
+        assert corr.hits.row.tolist() == env.correlations(0, E[0]).hits.row.tolist()
+        with pytest.raises(KeyError):
+            env.step(make_request(9, E[0], E[2], slot=1), CACHE, corr, server=0)
+        assert env.action_counts == {"A": 0, "B": 2, "C": 0}
+
+    def test_a_set_taken_before_a_sweep_moved_its_row(self):
+        env = make_env(evict_period=10)
+        store = env.stores[0]
+        store.insert_qa(E[3], E[4], 0, -5.0)  # below the mean: swept
+        store.insert_qa(E[0], E[1], 0, -1.0)
+        corr = env.correlations(0, E[0])
+        env.begin_slot(10)
+        assert len(store) == 2
+        with pytest.raises(KeyError):
+            env.step(make_request(9, E[0], E[2], slot=10), CACHE, corr)
+        assert [r.freq for r in store.records()] == [0, 0]
+        t = env.step(make_request(9, E[0], E[2], slot=10), CACHE)
+        assert t.resolved == "A"
+
+
+def _profile_steps(monkeypatch):
+    """The names of the C functions and methods called inside EdgeEnv.step,
+    and the routes its calls resolved."""
+    names, routes = set(), []
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            names.add(arg.__name__)
+
+    step = EdgeEnv.step
+
+    def profiled(self, *args, **kw):
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            transition = step(self, *args, **kw)
+        finally:
+            sys.setprofile(previous)
+        routes.append(transition.resolved)
+        return transition
+
+    monkeypatch.setattr(EdgeEnv, "step", profiled)
+    return names, routes
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return original(*args, **kw)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+class TestServingPath:
+    def test_a_broadcast_greedy_llm_run_builds_no_record_and_searches_no_row(
+        self, monkeypatch
+    ):
+        records = _count_calls(monkeypatch, VectorRecord, "__init__")
+        entries = _count_calls(monkeypatch, CorrelationEntry, "__init__")
+        names, routes = _profile_steps(monkeypatch)
+        run_experiment(RUNS["mid-greedy-llm-broadcast"])
+        assert min(routes.count("A"), routes.count("C")) > 500
+        assert records == [] and entries == []
+        assert "argmax" in names and "searchsorted" not in names
+
+    def test_a_one_list_golden_run_builds_and_feeds_no_index(self, monkeypatch):
+        cfg = RUNS["greedy-llm-broadcast"]
+        assert cfg.nlist == 1
+        inserts = _count_calls(monkeypatch, VectorStore, "insert_qa")
+        adds = _count_calls(monkeypatch, IvfIndex, "add")
+        builds = _count_calls(monkeypatch, IvfIndex, "__init__")
+        run_experiment(cfg)
+        assert len(inserts) > 10
+        assert adds == [] and builds == []

@@ -12,6 +12,7 @@ from edgesched.vecstore import (
     RecordKind,
     VectorRecord,
     VectorStore,
+    best_hit,
     clamp_negative,
     filter_best,
 )
@@ -67,9 +68,13 @@ class TestInsertAndPairs:
         assert rq.cache_value == ra.cache_value == -0.5
         assert rq.freq == 0 and ra.freq == 0
         assert rq.inserted_at == 3
-        # records are copies of store rows, so they compare by rid
-        assert store.pair_record(rq.pair_id, RecordKind.ANSWER).rid == ra.rid
-        assert store.pair_record(ra.pair_id, RecordKind.QUESTION).rid == rq.rid
+        # each half, hit by a query, finds its partner
+        for vec, hit in ((q, rid_q), (a, rid_a)):
+            corr = store.query(vec, 1)
+            assert corr[0].record.rid == hit
+            row, question, answer = store.hit_pair(corr, 0)
+            assert row == hit
+            assert question.tolist() == q.tolist() and answer.tolist() == a.tolist()
 
     def test_initial_value_clamped_negative(self):
         store = make_store()
@@ -133,6 +138,19 @@ class TestQuery:
         store.insert_qa(v, w, slot=0, initial_cache_value=-1.0)  # rids 2, 3: duplicate vectors
         got = store.query(v, 4)
         assert [e.record.rid for e in got] == [0, 2, 1, 3]
+
+    def test_slicing_a_fresh_result_returns_its_entries(self):
+        store = make_store(dim=8)
+        fill(store, 6, seed=19)
+        query = random_unit(np.random.default_rng(20), 8)
+        got = store.query(query, 4)[:2]
+        want = [store.query(query, 4)[i] for i in range(2)]
+        assert [(e.record.rid, e.distance) for e in got] == [
+            (e.record.rid, e.distance) for e in want
+        ]
+        assert [e.record.rid for e in store.query(query, 4)[::-1]] == [
+            e.record.rid for e in reversed(list(store.query(query, 4)))
+        ]
 
     def test_probes_enough_lists_for_min_candidates(self):
         # 20 tight clusters and min_candidates=10: a single inverted list
@@ -303,8 +321,13 @@ class TestEviction:
         store.insert_qa(np.eye(16)[0], np.eye(16)[1], slot=0, initial_cache_value=-5.0)
         keep_q, keep_a = store.insert_qa(np.eye(16)[2], np.eye(16)[3], slot=0, initial_cache_value=-1.0)
         store.evict(slot=1)
-        pair_id = store.record(keep_q).pair_id
-        assert store.pair_record(pair_id, RecordKind.ANSWER).rid == keep_a
+        corr = store.query(np.eye(16)[2], 1)
+        assert corr[0].record.rid == keep_q
+        row, question, answer = store.hit_pair(corr, 0)
+        assert [r.rid for r in store.records()] == [keep_q, keep_a]
+        assert row == 0  # the surviving pair moved to the front
+        assert question.tolist() == np.eye(16)[2].tolist()
+        assert answer.tolist() == np.eye(16)[3].tolist()
         assert len(store) == 2
 
     def test_queries_exclude_evicted(self):
@@ -374,14 +397,20 @@ def _fields(rec):
     return [rec.vec.tolist(), rec.kind, rec.freq, rec.cache_value, rec.inserted_at, rec.pair_id]
 
 
-def _partner(store, rec):
-    other = RecordKind.ANSWER if rec.kind == RecordKind.QUESTION else RecordKind.QUESTION
-    return store.pair_record(rec.pair_id, other)
-
-
 def _check_pairs(store, model):
-    for rec in store.records():
-        partner = _partner(store, rec)
+    """Every live row, hit by a query, finds its own and its partner's vector
+    as the model pairs them, or None for an evicted partner.  Every row is
+    checked, so each pairing is checked from both halves."""
+    if not len(store):
+        return
+    rows = {rec.rid: row for row, rec in enumerate(store.records())}
+    corr = store.exact_knn(np.zeros(store.dim), len(store))  # every row
+    for i, e in enumerate(corr):
+        rec = e.record
+        row, question, answer = store.hit_pair(corr, i)
+        assert row == rows[rec.rid]
+        own, partner = (question, answer) if rec.kind == RecordKind.QUESTION else (answer, question)
+        assert own.tolist() == model[rec.rid][0]
         want = [
             rid
             for rid, m in model.items()
@@ -390,9 +419,9 @@ def _check_pairs(store, model):
         if not want:
             assert partner is None
         else:
-            assert partner.rid == want[0]
-            assert partner.pair_id == rec.pair_id and partner.kind != rec.kind
-            assert _partner(store, partner).rid == rec.rid
+            # the partner's row is adjacent; its own hit pairs back to this one
+            assert partner.tolist() == model[want[0]][0]
+            assert abs(rows[want[0]] - row) == 1
 
 
 def _replay(store, ops, on_evict=None):
@@ -703,21 +732,135 @@ class TestLazyColumns:
         for width in (1, 3, 7):
             queried = store.query(random_unit(rng, 8), width)
             rebuilt = CorrelationSet(list(queried))
+            for name in queried.hits._fields:
+                want = np.full(width, -1) if name == "row" else getattr(queried.hits, name)
+                assert np.array_equal(getattr(rebuilt.hits, name), want), name
             assert np.array_equal(rebuilt.columns, queried.columns)
             for w in (1, width, width + 2):
                 assert np.array_equal(rebuilt.matrix(w), queried.matrix(w))
             nearest = queried.best().distance
             assert queried.nearest_distance() == rebuilt.nearest_distance() == nearest
 
-    def test_a_fresh_result_reports_its_nearest_without_building_records(self):
+    def test_a_fresh_result_reports_its_nearest_without_building_records(self, monkeypatch):
         store = make_store(dim=8)
         fill(store, 5, seed=17)
         got = store.query(random_unit(np.random.default_rng(18), 8), 3)
-        assert got.nearest_distance() == float(got._hits[7][0])
-        assert got._entries == [None] * 3 and got._columns is None
+        built = _count_inits(monkeypatch, VectorRecord, CorrelationEntry)
+        nearest = got.nearest_distance()
+        assert best_hit(got, 1.0, 0.1) in range(3)
+        assert sum(built.values()) == 0
+        assert nearest == got[0].distance == got.hits.distance[0]
+        assert built == {"VectorRecord": 1, "CorrelationEntry": 1}
 
     def test_empty_sets(self):
         for empty in (CorrelationSet([]), make_store().query(np.ones(16), 2)):
             assert empty.nearest_distance() is None
             assert empty.columns.shape == (3, 0)
             assert np.array_equal(empty.matrix(2), np.zeros((3, 2)))
+
+
+def _count_inits(monkeypatch, *classes):
+    """Count constructions of each class from here on, by class name."""
+    counts = {cls.__name__: 0 for cls in classes}
+    for cls in classes:
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kw):
+            counts[_name] += 1
+            _init(self, *args, **kw)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return counts
+
+
+class TestHitPair:
+    def two_pairs(self, **kw):
+        store = make_store(**kw)
+        store.insert_qa(np.eye(16)[0], np.eye(16)[1], slot=0, initial_cache_value=-5.0)
+        store.insert_qa(np.eye(16)[2], np.eye(16)[3], slot=0, initial_cache_value=-1.0)
+        return store
+
+    def test_each_half_finds_its_partner(self):
+        store = self.two_pairs()
+        corr = store.exact_knn(np.eye(16)[3], 4)
+        assert corr.hits.row.tolist() == [3, 0, 1, 2]
+        for i, row in enumerate(corr.hits.row.tolist()):
+            got_row, question, answer = store.hit_pair(corr, i)
+            assert got_row == row
+            first = row - row % 2  # the pair's question row
+            assert question.tolist() == np.eye(16)[first].tolist()
+            assert answer.tolist() == np.eye(16)[first + 1].tolist()
+
+    def test_an_evicted_half_is_none(self):
+        for kind, vec in ((RecordKind.ANSWER, 0), (RecordKind.QUESTION, 1)):
+            store = make_store()
+            store.insert_qa(np.eye(16)[0], np.eye(16)[1], slot=0, initial_cache_value=-1.0)
+            (rec,) = [r for r in store.records() if r.kind == kind]
+            store.update_cache_value(rec, -10.0, 1.0)
+            store.evict(slot=1)
+            corr = store.query(np.eye(16)[vec], 1)
+            row, question, answer = store.hit_pair(corr, 0)
+            assert row == 0
+            if kind == RecordKind.ANSWER:
+                assert answer is None and question.tolist() == np.eye(16)[0].tolist()
+            else:
+                assert question is None and answer.tolist() == np.eye(16)[1].tolist()
+
+    def test_a_hand_built_set_names_no_row(self):
+        store = self.two_pairs()
+        rebuilt = CorrelationSet(list(store.query(np.eye(16)[2], 2)))
+        assert rebuilt.hits.row.tolist() == [-1, -1]
+        with pytest.raises(KeyError):
+            store.hit_pair(rebuilt, 0)
+
+    def test_another_stores_result_is_rejected_even_where_rows_agree(self):
+        store, twin = self.two_pairs(), self.two_pairs()
+        corr = twin.query(np.eye(16)[2], 1)  # same row, rid and vectors as in store
+        assert store.records()[2].rid == corr[0].record.rid
+        with pytest.raises(KeyError):
+            store.hit_pair(corr, 0)
+
+    def test_a_row_moved_by_eviction_is_rejected(self):
+        store = self.two_pairs()
+        corr = store.query(np.eye(16)[2], 2)  # rows 2 and 3
+        stale = store.query(np.eye(16)[0], 1)  # row 0, evicted below
+        store.evict(slot=1)
+        assert len(store) == 2
+        for c, i in ((corr, 0), (corr, 1), (stale, 0)):
+            with pytest.raises(KeyError):
+                store.hit_pair(c, i)
+        fresh = store.query(np.eye(16)[2], 1)
+        assert store.hit_pair(fresh, 0)[0] == 0
+
+    def test_refresh_writes_the_row(self):
+        store = self.two_pairs()
+        assert store.refresh(2, -0.2, 0.8) == -1.0
+        assert store.refresh(2, -0.1, 0.5) == pytest.approx(-0.8, abs=1e-15)
+        rec = store.records()[2]
+        assert rec.freq == 2 and rec.cache_value == pytest.approx(-0.8, abs=1e-15)
+        assert [r.freq for r in store.records()] == [0, 0, 2, 0]
+        with pytest.raises(ValueError):
+            store.refresh(2, 0.2, 0.5)
+        with pytest.raises(ValueError):
+            store.refresh(2, -0.2, 0.0)
+
+
+class TestOneListStore:
+    def test_keeps_no_index(self, monkeypatch):
+        built = _count_inits(monkeypatch, IvfIndex)
+        calls = []
+        monkeypatch.setattr(IvfIndex, "add", lambda *a: calls.append(a))
+        store = make_store(dim=8, nlist=1, rebuild_every=3)
+        rng = np.random.default_rng(21)
+        for slot in range(40):
+            store.insert_qa(random_unit(rng, 8), random_unit(rng, 8), slot, -rng.uniform(0.1, 3))
+            if slot % 10 == 9:
+                assert store.evict(slot) > 0
+        assert store.rebuild_index() is None
+        assert store.index_builds == 0 and store._index is None
+        assert built == {"IvfIndex": 0} and calls == []
+        for query in rng.normal(size=(10, 8)):
+            assert _hits(store.query(query, 5)) == _hits(_full_scan(store, query, 5))
+
+    def test_a_two_list_store_still_builds(self):
+        store = make_store(dim=8, nlist=2, rebuild_every=3)
+        fill(store, 4, seed=22)
+        assert store.index_builds > 0 and store._index is not None
