@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .marl import PolicySnapshot
+from .marl import PolicySnapshot, correlation_features
 from .seeding import DOMAIN_POLICY, KeyedStreams
 from .simenv import DIRECT_CLOUD, USE_CACHE, ActionChoice, EdgeEnv
 from .vecstore import CorrelationSet
@@ -32,9 +32,6 @@ class DecisionContext:
     """Everything a scheduler may look at when routing one request."""
 
     corr: CorrelationSet
-    # Flattened network-style correlation features; built only for a policy
-    # whose ``reads_features`` is set, None otherwise.
-    corr_features: np.ndarray | None
     question_vec: np.ndarray
     server: int
     request_id: int
@@ -42,9 +39,6 @@ class DecisionContext:
 
 class BasePolicy:
     """Interface stub: decide on an action, optionally observe the outcome."""
-
-    # Whether ``decide`` reads ``ctx.corr_features``.
-    reads_features = False
 
     def decide(self, ctx: DecisionContext) -> tuple[ActionChoice, float]:
         raise NotImplementedError
@@ -127,17 +121,16 @@ class RandomPolicy(BasePolicy):
 
 
 class LearnedPolicy(BasePolicy):
-    """Acts greedily from a frozen policy snapshot."""
+    """Acts greedily from a frozen policy snapshot, on the correlation
+    features of ``env.query_width`` hits."""
 
-    reads_features = True
-
-    def __init__(self, snapshot: PolicySnapshot):
+    def __init__(self, snapshot: PolicySnapshot, env: EdgeEnv):
         self.snapshot = snapshot
+        self.width = env.query_width
 
     def decide(self, ctx: DecisionContext) -> tuple[ActionChoice, float]:
-        dist = self.snapshot.action_probs(
-            ctx.corr_features[None, :], ctx.question_vec[None, :]
-        )[0]
+        feats = correlation_features(ctx.corr, self.width)
+        dist = self.snapshot.action_probs(feats[None, :], ctx.question_vec[None, :])[0]
         a = int(np.argmax(dist))
         return _CHOICES[a], float(dist[a])
 

@@ -365,7 +365,6 @@ class _Deployment:
     """One run's servers and requests; outcomes are logged to ``log_fh``."""
 
     def __init__(self, cfg: ExperimentConfig, log_fh):
-        self.segment_len = cfg.min_agent_batch
         stores = [
             VectorStore(
                 dim=cfg.dim,
@@ -401,7 +400,7 @@ class _Deployment:
         if not features:
             return corrsets, None, None
         width = self.env.query_width
-        feats = np.stack([correlation_features(c.matrix(width)) for c in corrsets])
+        feats = np.stack([correlation_features(c, width) for c in corrsets])
         questions = np.stack([req.question_vec for _, req in group])
         return corrsets, feats, questions
 
@@ -421,12 +420,12 @@ class _Deployment:
         by ``actor`` (a policy, or a :class:`RolloutDriver` that also
         trains), then stepped; served requests go to ``acc`` and, with
         ``buffer``, each slot is recorded for training.  Feature and
-        question matrices are built only where they are read: by a learner,
-        a buffer or a policy that ``reads_features``.
+        question matrices are built only where they are read: by a learner
+        or a buffer.
         """
         env = self.env
         learned = isinstance(actor, RolloutDriver)
-        features = learned or buffer is not None or actor.reads_features
+        features = learned or buffer is not None
         for slot in slots:
             reqs = self.source.next_slot()
             env.begin_slot(slot)
@@ -441,17 +440,11 @@ class _Deployment:
                     actions, probs, _ = actor.choose(feats, questions, keys)
                     choices = [ActionChoice(int(a)) for a in actions]
                 else:
-                    if buffer is not None and buffer.pending_steps >= self.segment_len:
-                        buffer.hand_off(feats, questions)
+                    if buffer is not None:
+                        buffer.begin_slot(feats, questions)
                     choices, probs = [], []
-                    for i, ((n, req), corr) in enumerate(zip(group, corrsets)):
-                        ctx = DecisionContext(
-                            corr=corr,
-                            corr_features=None if feats is None else feats[i],
-                            question_vec=req.question_vec,
-                            server=n,
-                            request_id=req.id,
-                        )
+                    for (n, req), corr in zip(group, corrsets):
+                        ctx = DecisionContext(corr, req.question_vec, n, req.id)
                         choice, prob = actor.decide(ctx)
                         choices.append(choice)
                         probs.append(prob)
@@ -489,7 +482,7 @@ def build_expert_demos(cfg: ExperimentConfig) -> DemoSet:
     demo_cfg = dataclasses.replace(cfg, workload_file=None, seed=demo_seed)
     deployment = _Deployment(demo_cfg, log_fh=None)
     expert = PayoffGreedyPolicy(deployment.env)
-    buffer = ExperienceBuffer(cfg.servers)
+    buffer = ExperienceBuffer(cfg.servers, cfg.min_agent_batch)
     deployment.play(range(cfg.demo_slots), "nearest", expert, buffer, None)
     # Bootstrap observation for the final partial segment.
     reqs = deployment.source.next_slot()
@@ -539,7 +532,7 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
 
         # Frozen test phase.
         if kind == "learned":
-            actor = LearnedPolicy(trainer.snapshot())
+            actor = LearnedPolicy(trainer.snapshot(), deployment.env)
         acc_test = WindowAccumulator("test", cfg.window_size, cfg.servers)
         test_slots = range(cfg.train_slots, cfg.train_slots + cfg.test_slots)
         deployment.play(test_slots, cfg.mode, actor, None, acc_test)

@@ -30,19 +30,26 @@ from .seeding import (
     KeyedStreams,
     substream,
 )
+from .vecstore import CorrelationSet
 
 log = logging.getLogger(__name__)
 
 
-def correlation_features(corr_matrix: np.ndarray) -> np.ndarray:
-    """Flatten a (3, width) correlation matrix into network inputs.
+def correlation_features(corr: CorrelationSet, width: int) -> np.ndarray:
+    """A correlation set as network input: ``3 * width`` values.
 
-    Use counts grow without bound, so they pass through log1p; similarity
-    and kind codes are already O(1) and stay raw.
+    Rows of ``width`` hold each of the nearest ``width`` hits' similarity,
+    kind code and log1p use count (counts grow without bound; the others
+    are O(1) and stay raw), flattened row by row.  Missing hits are zero,
+    which no real record gives (similarity > 0, kind >= 1).
     """
-    m = np.array(corr_matrix, dtype=float)
-    m[2] = np.log1p(m[2])
-    return m.ravel()
+    h = corr.hits
+    k = min(width, len(corr))
+    out = np.zeros((3, width))
+    out[0, :k] = 1.0 / (1.0 + h.distance[:k])
+    out[1, :k] = h.kind[:k]
+    out[2, :k] = np.log1p(h.freq[:k])
+    return out.ravel()
 
 
 def compute_gae(
@@ -144,12 +151,18 @@ class Segment:
 
 
 class ExperienceBuffer:
-    """Per-agent staging lists plus the shared pool of finished segments."""
+    """Per-agent staging lists plus the shared pool of finished segments.
 
-    def __init__(self, n_agents: int):
+    :meth:`begin_slot` cuts a segment every ``segment_len`` recorded slots.
+    """
+
+    def __init__(self, n_agents: int, segment_len: int):
         if n_agents < 1:
             raise ConfigError(f"n_agents must be >= 1, got {n_agents}")
+        if segment_len < 1:
+            raise ConfigError(f"segment_len must be >= 1, got {segment_len}")
         self.n_agents = n_agents
+        self.segment_len = segment_len
         self._pending: list[tuple] = []
         self.segments: list[Segment] = []
 
@@ -179,6 +192,13 @@ class ExperienceBuffer:
                 np.array(rewards, dtype=float),
             )
         )
+
+    def begin_slot(self, corr: np.ndarray, question: np.ndarray) -> Segment | None:
+        """Hand off the pending run once it holds ``segment_len`` slots, with
+        this slot's observation as its bootstrap state."""
+        if self.pending_steps >= self.segment_len:
+            return self.hand_off(corr, question)
+        return None
 
     def hand_off(
         self, final_corr: np.ndarray, final_question: np.ndarray
@@ -488,7 +508,7 @@ class Trainer:
         )
         self.policy_opt = Adam(self.cfg.lr_policy)
         self.value_opt = Adam(self.cfg.lr_value)
-        self.buffer = ExperienceBuffer(n_agents)
+        self.buffer = ExperienceBuffer(n_agents, self.cfg.min_agent_batch)
         self.updates_done = 0
         self.history: list[UpdateResult] = []
 
@@ -605,16 +625,15 @@ class RolloutDriver:
     def begin_slot(
         self, corr: np.ndarray, question: np.ndarray
     ) -> UpdateResult | None:
-        """Hand off a full segment (using this slot's observation as the
-        bootstrap state) and attempt a train update."""
-        buffer = self.trainer.buffer
-        if buffer.pending_steps >= self.trainer.cfg.min_agent_batch:
-            buffer.hand_off(corr, question)
-            result = self.trainer.train_update()
-            if result.status == "updated":
-                self.snapshot = self.trainer.snapshot()
-            return result
-        return None
+        """Let the buffer cut a segment at this slot (see
+        :meth:`ExperienceBuffer.begin_slot`) and, if it did, attempt a train
+        update."""
+        if self.trainer.buffer.begin_slot(corr, question) is None:
+            return None
+        result = self.trainer.train_update()
+        if result.status == "updated":
+            self.snapshot = self.trainer.snapshot()
+        return result
 
     def choose(
         self, corr: np.ndarray, question: np.ndarray, decision_keys

@@ -283,6 +283,8 @@ class EdgeEnv:
     ) -> Transition:
         """Serve one request at one server and apply all store mutations."""
         n = request.server if server is None else server
+        if not 0 <= n < len(self.stores):
+            raise ConfigError(f"server {n} out of range for {len(self.stores)} stores")
         store = self.stores[n]
         corr = (
             correlations

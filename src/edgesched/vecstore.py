@@ -93,8 +93,7 @@ class CorrelationSet:
 
     ``hits`` holds them as one table of arrays.  A store's query result
     names each hit's row in that store; a set built from entries has row -1.
-    ``columns`` is a (3, len) array of similarity, kind code and use count
-    per hit, built when first read.  ``self[i]`` copies hit ``i`` out.
+    ``self[i]`` copies hit ``i`` out.
     """
 
     def __init__(self, entries: Sequence[CorrelationEntry]):
@@ -103,22 +102,12 @@ class CorrelationSet:
         dist = np.array([e.distance for e in entries], dtype=float)
         self.hits = Hits(np.full(len(recs), -1), *cols, dist)
         self._store = None
-        self._columns = None
 
     @classmethod
     def _of_hits(cls, hits: Hits, store: VectorStore) -> CorrelationSet:
         out = cls.__new__(cls)
-        out.hits, out._store, out._columns = hits, store, None
+        out.hits, out._store = hits, store
         return out
-
-    @property
-    def columns(self) -> np.ndarray:
-        if self._columns is None:
-            h = self.hits
-            self._columns = np.array(
-                [1.0 / (1.0 + h.distance), h.kind, h.freq], dtype=float
-            )
-        return self._columns
 
     def __len__(self) -> int:
         return len(self.hits.row)
@@ -149,17 +138,6 @@ class CorrelationSet:
         """The nearest hit's distance, or None when empty; builds no record."""
         return float(self.hits.distance[0]) if len(self) else None
 
-    def matrix(self, width: int) -> np.ndarray:
-        """A (3, width) summary: similarity, kind code, and use count per hit.
-
-        Missing columns (fewer hits than ``width``) are zero, which no real
-        record can produce (similarity > 0, kind >= 1).
-        """
-        out = np.zeros((3, width))
-        k = min(width, len(self))
-        out[:, :k] = self.columns[:, :k]
-        return out
-
 
 def best_hit(
     correlations: CorrelationSet, value_weight: float, freq_weight: float
@@ -172,8 +150,8 @@ def best_hit(
     """
     if not len(correlations):
         raise EmptyCorrelationError("cannot filter an empty correlation set")
-    columns = correlations.columns
-    scores = value_weight * columns[0] + freq_weight * columns[2]
+    h = correlations.hits
+    scores = value_weight * (1.0 / (1.0 + h.distance)) + freq_weight * h.freq
     return int(scores.argmax())
 
 
@@ -501,7 +479,8 @@ class VectorStore:
             if self._index is not None:
                 self._index.add(row, self._vecs[row])
         self._inserts_since_build += 2
-        if self._index is None or self._inserts_since_build >= self.rebuild_every:
+        stale = self._index is None or self._inserts_since_build >= self.rebuild_every
+        if self.nlist > 1 and stale:
             self.rebuild_index()
         return self._next_rid - 2, self._next_rid - 1
 

@@ -17,7 +17,7 @@ import json
 import logging
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -46,23 +46,22 @@ def random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TopicSet:
-    """Unit topic centroids plus per-topic answer offsets.
+    """Unit topic centroids plus each topic's reference answer.
 
-    The reference answer for a topic is the renormalized sum of its centroid
-    and its offset, so every topic has exactly one deterministic ideal answer.
+    A topic's reference answer is the renormalized sum of its centroid and a
+    unit answer offset, so every topic has exactly one deterministic ideal
+    answer; ``references`` holds them as read-only rows.
     """
 
     centroids: np.ndarray  # (num_topics, dim), unit rows
-    answer_offsets: np.ndarray  # (num_topics, dim), unit rows
-    _references: list = field(init=False, repr=False, compare=False)
+    references: np.ndarray  # (num_topics, dim), unit rows, read-only
 
     def __post_init__(self):
-        if self.centroids.shape != self.answer_offsets.shape:
+        if self.centroids.shape != self.references.shape:
             raise ConfigError(
-                f"centroids {self.centroids.shape} and answer_offsets "
-                f"{self.answer_offsets.shape} must have matching shapes"
+                f"centroids {self.centroids.shape} and references "
+                f"{self.references.shape} must have matching shapes"
             )
-        object.__setattr__(self, "_references", [None] * self.num_topics)
 
     @property
     def num_topics(self) -> int:
@@ -73,17 +72,8 @@ class TopicSet:
         return self.centroids.shape[1]
 
     def reference_for(self, topic: int) -> np.ndarray:
-        """Deterministic ideal-answer vector for ``topic``.
-
-        Computed on the topic's first request and shared, read-only, by
-        every later one.
-        """
-        ref = self._references[topic]
-        if ref is None:
-            ref = unit(self.centroids[topic] + self.answer_offsets[topic])
-            ref.flags.writeable = False
-            self._references[topic] = ref
-        return ref
+        """Deterministic ideal-answer vector for ``topic``, read-only."""
+        return self.references[topic]
 
 
 def generate_topics(num_topics: int, dim: int, seed: int) -> TopicSet:
@@ -97,7 +87,11 @@ def generate_topics(num_topics: int, dim: int, seed: int) -> TopicSet:
     centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
     offsets = rng.normal(size=(num_topics, dim))
     offsets /= np.linalg.norm(offsets, axis=1, keepdims=True)
-    return TopicSet(centroids=centroids, answer_offsets=offsets)
+    references = centroids + offsets
+    for row in references:  # in place: no per-topic array outlives the loop
+        row[...] = unit(row)
+    references.flags.writeable = False
+    return TopicSet(centroids=centroids, references=references)
 
 
 @dataclass(eq=False)

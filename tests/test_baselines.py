@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgesched import baselines
 from edgesched.baselines import (
@@ -52,13 +53,11 @@ def make_env(n_servers=1, seed=0, **kw):
     return EdgeEnv(stores, seed=seed, **kw)
 
 
-def make_ctx(corr, server=0, request_id=0, q_dim=8, width=5):
-    feats = correlation_features(corr.matrix(width))
+def make_ctx(corr, server=0, request_id=0, q_dim=8):
     q = np.zeros(q_dim)
     q[0] = 1.0
     return DecisionContext(
         corr=corr,
-        corr_features=feats,
         question_vec=q,
         server=server,
         request_id=request_id,
@@ -233,16 +232,43 @@ class TestLearnedPolicy:
 
     def test_deterministic_matches_argmax(self):
         snap = self.make_snapshot()
-        pol = LearnedPolicy(snap)
+        pol = LearnedPolicy(snap, make_env(query_width=5))
         ctx = make_ctx(corr_of(0.1, 0.4))
-        dist = snap.action_probs(ctx.corr_features[None, :], ctx.question_vec[None, :])[0]
+        feats = correlation_features(ctx.corr, 5)
+        dist = snap.action_probs(feats[None, :], ctx.question_vec[None, :])[0]
         choice, prob = pol.decide(ctx)
         assert choice.a == int(np.argmax(dist))
-        assert prob == pytest.approx(dist[choice.a])
+        assert prob == dist[choice.a]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        width=st.integers(1, 6),
+        dists=st.lists(st.floats(0.0, 3.0), max_size=8),
+        freqs=st.lists(st.integers(0, 50), min_size=8, max_size=8),
+        trained=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_decides_from_the_env_width_features(self, width, dists, freqs, trained, seed):
+        snap = self.make_snapshot(width=width)
+        if trained:  # move the zero-initialized head off its even split
+            rng = np.random.default_rng(seed)
+            for name in snap.params.names():
+                snap.params[name][...] = rng.normal(size=snap.params[name].shape)
+        entries = [
+            CorrelationEntry(make_record(rid=i, freq=f, kind=RecordKind(1 + i % 2)), d)
+            for i, (d, f) in enumerate(zip(sorted(dists), freqs))
+        ]
+        ctx = make_ctx(CorrelationSet(entries), q_dim=8)
+        ctx.question_vec[:] = np.random.default_rng(seed).normal(size=8)
+        feats = correlation_features(ctx.corr, width)
+        dist = snap.action_probs(feats[None, :], ctx.question_vec[None, :])[0]
+        choice, prob = LearnedPolicy(snap, make_env(query_width=width)).decide(ctx)
+        assert choice.a == int(np.argmax(dist))
+        assert prob == dist[choice.a]
 
     def test_fresh_nets_split_evenly_and_pick_cache(self):
         # zero-initialized heads emit 0.5/0.5; argmax keeps the first index
-        pol = LearnedPolicy(self.make_snapshot())
+        pol = LearnedPolicy(self.make_snapshot(), make_env(query_width=5))
         choice, prob = pol.decide(make_ctx(corr_of(0.2)))
         assert choice.a == 0
         assert prob == pytest.approx(0.5)
@@ -253,19 +279,16 @@ class TestHeuristicDecisions:
         env = make_env(n_servers=2)
         shared = baselines._CHOICES
         for pol in (ThresholdPolicy(0.3), PayoffGreedyPolicy(env), RandomPolicy(env)):
-            assert not pol.reads_features
             for corr in (corr_of(), corr_of(0.01, 0.5), corr_of(0.9)):
                 for rid in range(6):
                     ctx = DecisionContext(
                         corr=corr,
-                        corr_features=None,
                         question_vec=np.eye(8)[0],
                         server=rid % 2,
                         request_id=rid,
                     )
                     choice, _ = pol.decide(ctx)
                     assert choice is shared[choice.a]
-        assert LearnedPolicy.reads_features
 
     def test_shared_choices_are_frozen(self):
         with pytest.raises(AttributeError):

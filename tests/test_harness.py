@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import edgesched
-from edgesched import harness, seeding, simenv
+from edgesched import baselines, harness, seeding, simenv
 from edgesched.baselines import LearnedPolicy
 from edgesched.config import ExperimentConfig, load_config, policy_kind
 from edgesched.errors import ConfigError, ParseError
@@ -644,18 +644,20 @@ class TestRunExperiment:
 
 
 class TestFeaturePath:
-    """Correlation features are built only where something reads them."""
+    """Correlation features are built only where something reads them: by
+    the slot loop for a learner or a buffer, and by ``LearnedPolicy``."""
 
     @staticmethod
     def count_features(monkeypatch):
         calls = []
         real = harness.correlation_features
 
-        def counted(matrix):
-            calls.append(matrix.shape)
-            return real(matrix)
+        def counted(corr, width):
+            calls.append(width)
+            return real(corr, width)
 
-        monkeypatch.setattr(harness, "correlation_features", counted)
+        for module in (harness, baselines):
+            monkeypatch.setattr(module, "correlation_features", counted)
         return calls
 
     @pytest.mark.parametrize("mode", ["nearest", "broadcast"])
@@ -671,12 +673,14 @@ class TestFeaturePath:
         calls = self.count_features(monkeypatch)
         cfg = learned_cfg("lrs", mode=mode, servers=3)
         test_rows = cfg.test_slots * cfg.servers * (cfg.servers if mode == "broadcast" else 1)
-        seen = []
+        decided = []
         real_decide = LearnedPolicy.decide
 
         def decide(policy, ctx):
-            seen.append(ctx.corr_features.shape)
-            return real_decide(policy, ctx)
+            decided.append(len(calls))
+            out = real_decide(policy, ctx)
+            assert len(calls) == decided[-1] + 1  # its own features, once
+            return out
 
         monkeypatch.setattr(LearnedPolicy, "decide", decide)
         run_experiment(cfg)
@@ -684,7 +688,8 @@ class TestFeaturePath:
         # training slots, and every test decision
         demo_rows = (cfg.demo_slots + 1) * cfg.servers
         assert len(calls) == demo_rows + cfg.train_slots * cfg.servers + test_rows
-        assert seen == [(3 * cfg.query_width,)] * test_rows
+        assert calls == [cfg.query_width] * len(calls)
+        assert len(decided) == test_rows
 
     def test_demo_recording_builds_them(self, monkeypatch):
         calls = self.count_features(monkeypatch)

@@ -22,6 +22,7 @@ from edgesched.nn import EncoderConfig, ParamSet
 from edgesched.nn.models import FeatureEncoder
 from edgesched.seeding import DOMAIN_TRAINER, substream
 from edgesched.nn.gradcheck import finite_difference_grads, gradient_relative_error
+from edgesched.vecstore import CorrelationEntry, CorrelationSet, RecordKind, VectorRecord
 
 
 def small_cfg(**kw):
@@ -75,26 +76,31 @@ def feed_slots(trainer, rng, slots, T_corr=3, T_q=4):
         )
 
 
+def entry_set(*hits):
+    """A hand-built correlation set of (distance, kind code, freq) hits."""
+    return CorrelationSet([
+        CorrelationEntry(VectorRecord(i, np.zeros(4), RecordKind(kind), freq, -1.0, 0, i), d)
+        for i, (d, kind, freq) in enumerate(hits)
+    ])
+
+
 class TestFeatures:
     def test_correlation_features_log_scales_counts(self):
-        m = np.array(
-            [
-                [0.5, 0.25, 0.0],
-                [1.0, 2.0, 0.0],
-                [3.0, 0.0, 0.0],
-            ]
-        )
-        f = correlation_features(m)
-        assert f.shape == (9,)
-        assert np.array_equal(f[:3], m[0])
-        assert np.array_equal(f[3:6], m[1])
-        assert f[6] == pytest.approx(np.log1p(3.0), abs=1e-15)
-        assert f[7] == 0.0
+        corr = entry_set((1.0, 1, 3), (3.0, 2, 0))
+        f = correlation_features(corr, 4)
+        assert f.shape == (12,)
+        assert np.array_equal(f[:4], [0.5, 0.25, 0.0, 0.0])  # similarity
+        assert np.array_equal(f[4:8], [1.0, 2.0, 0.0, 0.0])  # kind code
+        assert f[8] == np.log1p(3.0)  # use count
+        assert np.array_equal(f[9:], [0.0, 0.0, 0.0])  # padding
+        assert np.array_equal(correlation_features(corr, 1), [0.5, 1.0, np.log1p(3.0)])
 
     def test_input_not_mutated(self):
-        m = np.ones((3, 2))
-        correlation_features(m)
-        assert np.all(m == 1.0)
+        corr = entry_set((0.5, 2, 7), (0.75, 1, 1))
+        before = [a.copy() for a in corr.hits]
+        correlation_features(corr, 3)
+        for old, new in zip(before, corr.hits):
+            assert np.array_equal(old, new)
 
 
 class TestGae:
@@ -183,17 +189,21 @@ class TestTrainerConfig:
 
 
 class TestBuffer:
+    def record(self, buf, rng):
+        N = buf.n_agents
+        buf.record_slot(
+            rng.normal(size=(N, 3)),
+            rng.normal(size=(N, 4)),
+            rng.integers(0, 2, size=N),
+            np.full(N, 0.5),
+            rng.normal(size=N),
+        )
+
     def test_record_and_hand_off(self):
-        buf = ExperienceBuffer(2)
+        buf = ExperienceBuffer(2, 8)
         rng = np.random.default_rng(0)
         for _ in range(3):
-            buf.record_slot(
-                rng.normal(size=(2, 3)),
-                rng.normal(size=(2, 4)),
-                np.array([0, 1]),
-                np.array([0.5, 0.5]),
-                np.array([1.0, -1.0]),
-            )
+            self.record(buf, rng)
         assert buf.pending_steps == 3
         seg = buf.hand_off(np.zeros((2, 3)), np.zeros((2, 4)))
         assert seg.steps == 3
@@ -203,23 +213,37 @@ class TestBuffer:
         assert buf.segments == [seg]
         assert sum(s.steps for s in buf.segments) == 3
 
+    def test_begin_slot_cuts_every_segment_len_slots(self):
+        buf = ExperienceBuffer(2, 3)
+        rng = np.random.default_rng(1)
+        cut_at = []
+        for slot in range(10):
+            corr, question = rng.normal(size=(2, 3)), rng.normal(size=(2, 4))
+            seg = buf.begin_slot(corr, question)
+            if seg is not None:
+                cut_at.append(slot)
+                assert seg.steps == 3
+                assert np.array_equal(seg.final_corr, corr)
+                assert np.array_equal(seg.final_question, question)
+            self.record(buf, rng)
+        assert cut_at == [3, 6, 9]
+        assert buf.pending_steps == 1
+
     def test_hand_off_empty_is_noop(self):
-        buf = ExperienceBuffer(1)
+        buf = ExperienceBuffer(1, 1)
         assert buf.hand_off(np.zeros((1, 3)), np.zeros((1, 4))) is None
+        assert buf.begin_slot(np.zeros((1, 3)), np.zeros((1, 4))) is None
         assert buf.segments == []
 
     def test_clear_pool_empties_the_pool(self):
-        buf = ExperienceBuffer(1)
-        buf.record_slot(
-            np.zeros((1, 3)), np.zeros((1, 4)), np.zeros(1, dtype=int),
-            np.full(1, 0.5), np.zeros(1),
-        )
+        buf = ExperienceBuffer(1, 1)
+        self.record(buf, np.random.default_rng(2))
         buf.hand_off(np.zeros((1, 3)), np.zeros((1, 4)))
         buf.clear_pool()
         assert sum(s.steps for s in buf.segments) == 0
 
     def test_wrong_agent_count_rejected(self):
-        buf = ExperienceBuffer(2)
+        buf = ExperienceBuffer(2, 1)
         with pytest.raises(ConfigError):
             buf.record_slot(
                 np.zeros((3, 3)), np.zeros((3, 4)), np.zeros(3, dtype=int),
@@ -228,7 +252,9 @@ class TestBuffer:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            ExperienceBuffer(0)
+            ExperienceBuffer(0, 1)
+        with pytest.raises(ConfigError):
+            ExperienceBuffer(1, 0)
 
 
 class TestDemoSet:

@@ -131,6 +131,21 @@ class TestEnvSettings:
         t = env.step(make_request(0, E[0], E[2]), CLOUD)
         assert t.r == env.reward(t.q, t.d)
 
+    @pytest.mark.parametrize("server", [-1, 2, 3])
+    @pytest.mark.parametrize("via", ["request", "argument"])
+    def test_step_rejects_a_server_out_of_range(self, server, via):
+        env = make_env(n_servers=2)
+        env.step(make_request(0, E[0], E[2]), CLOUD)
+        before = [len(store) for store in env.stores]
+        if via == "request":
+            req, kw = make_request(1, E[0], E[2], server=server), {}
+        else:
+            req, kw = make_request(1, E[0], E[2]), {"server": server}
+        with pytest.raises(ConfigError, match=f"server {server} out of range for 2 stores"):
+            env.step(req, CACHE, **kw)
+        assert [len(store) for store in env.stores] == before
+        assert env.action_counts == {"A": 0, "B": 1, "C": 0}
+
 
 class TestActionChoice:
     def test_validation(self):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgesched.errors import EmptyCorrelationError
+from edgesched.marl import correlation_features
 from edgesched.seeding import substream
 from edgesched.vecstore import (
     _cluster_means,
@@ -206,15 +207,6 @@ class TestFilterBest:
     def test_empty_raises(self):
         with pytest.raises(EmptyCorrelationError):
             filter_best(CorrelationSet([]), 1.0, 0.1)
-
-    def test_matrix_layout_and_padding(self):
-        corr = CorrelationSet([self.entry(0, 1.0, 3)])
-        m = corr.matrix(4)
-        assert m.shape == (3, 4)
-        assert m[0, 0] == 0.5  # similarity
-        assert m[1, 0] == float(RecordKind.QUESTION)
-        assert m[2, 0] == 3.0  # freq
-        assert np.all(m[:, 1:] == 0.0)
 
 
 class TestCacheValue:
@@ -666,7 +658,6 @@ def _check_exact(store, query, width):
     got = store.exact_knn(query, width)
     want = _full_scan(store, query, width)
     assert _hits(got) == _hits(want)
-    assert np.array_equal(got.columns, want.columns, equal_nan=True)
     n = len(store)
     vecs = store._vecs[:n]
     assert np.array_equal(store._sq[:n], [v.dot(v) for v in vecs])
@@ -725,6 +716,9 @@ class TestGuardedExactScan:
 
 
 class TestLazyColumns:
+    """A set's hits are columns of arrays, and records are copied out of
+    them only on demand; entry-built sets give the same columns."""
+
     def test_entries_and_query_results_agree(self):
         store = make_store(dim=8, nlist=4)
         fill(store, 30, seed=15)
@@ -735,9 +729,9 @@ class TestLazyColumns:
             for name in queried.hits._fields:
                 want = np.full(width, -1) if name == "row" else getattr(queried.hits, name)
                 assert np.array_equal(getattr(rebuilt.hits, name), want), name
-            assert np.array_equal(rebuilt.columns, queried.columns)
             for w in (1, width, width + 2):
-                assert np.array_equal(rebuilt.matrix(w), queried.matrix(w))
+                want = correlation_features(queried, w)
+                assert np.array_equal(correlation_features(rebuilt, w), want)
             nearest = queried.best().distance
             assert queried.nearest_distance() == rebuilt.nearest_distance() == nearest
 
@@ -755,8 +749,61 @@ class TestLazyColumns:
     def test_empty_sets(self):
         for empty in (CorrelationSet([]), make_store().query(np.ones(16), 2)):
             assert empty.nearest_distance() is None
-            assert empty.columns.shape == (3, 0)
-            assert np.array_equal(empty.matrix(2), np.zeros((3, 2)))
+            assert np.array_equal(correlation_features(empty, 2), np.zeros(6))
+
+
+def _record_features(corr, width):
+    """``correlation_features`` rebuilt from record copies."""
+    out = np.zeros((3, width))
+    for i, e in enumerate(corr[:width]):
+        out[:, i] = e.similarity, e.record.kind, np.log1p(e.record.freq)
+    return out.ravel()
+
+
+_ENTRY_SETS = st.lists(
+    st.tuples(st.floats(0.0, 4.0), st.sampled_from(list(RecordKind)), st.integers(0, 10**6)),
+    max_size=8,
+).map(
+    lambda hits: CorrelationSet([
+        CorrelationEntry(VectorRecord(i, np.zeros(_DIM), kind, freq, -1.0, 0, i // 2), d)
+        for i, (d, kind, freq) in enumerate(hits)
+    ])
+)
+_WEIGHTS = st.floats(-2.0, 2.0)
+
+
+class TestHitReaders:
+    """The features and the filter read a set's hit arrays as its record
+    copies would give them, bit for bit."""
+
+    def check(self, corr, width, vw, fw):
+        assert np.array_equal(correlation_features(corr, width), _record_features(corr, width))
+        if not len(corr):
+            with pytest.raises(EmptyCorrelationError):
+                best_hit(corr, vw, fw)
+            return
+        scores = [vw * e.similarity + fw * e.record.freq for e in corr]
+        assert best_hit(corr, vw, fw) == scores.index(max(scores))
+
+    @_PROPERTY_SETTINGS
+    @given(
+        ops=_OPS,
+        nlist=st.integers(1, 2),
+        query=_GRID_VECS,
+        k=st.integers(1, 8),
+        width=st.integers(1, 10),
+        vw=_WEIGHTS,
+        fw=_WEIGHTS,
+    )
+    def test_query_results(self, ops, nlist, query, k, width, vw, fw):
+        store = make_store(dim=_DIM, nlist=nlist, rebuild_every=3, seed=4)
+        _replay(store, ops)
+        self.check(store.query(query, k), width, vw, fw)
+
+    @_PROPERTY_SETTINGS
+    @given(corr=_ENTRY_SETS, width=st.integers(1, 10), vw=_WEIGHTS, fw=_WEIGHTS)
+    def test_entry_sets(self, corr, width, vw, fw):
+        self.check(corr, width, vw, fw)
 
 
 def _count_inits(monkeypatch, *classes):

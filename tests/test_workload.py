@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from edgesched.errors import ConfigError, ParseError
+from edgesched.seeding import DOMAIN_TOPICS, substream
 from edgesched.workload import (
     Request,
     TopicSet,
@@ -31,20 +32,28 @@ def test_random_unit_has_unit_norm():
         assert np.linalg.norm(random_unit(rng, 32)) == pytest.approx(1.0, abs=1e-12)
 
 
+def answer_offsets(num_topics, dim, seed):
+    """The unit answer offsets ``generate_topics`` draws after its centroids."""
+    rng = substream(seed, DOMAIN_TOPICS)
+    rng.normal(size=(num_topics, dim))
+    offsets = rng.normal(size=(num_topics, dim))
+    return offsets / np.linalg.norm(offsets, axis=1, keepdims=True)
+
+
 class TestTopics:
     def test_shapes_and_norms(self):
         topics = generate_topics(50, 64, seed=3)
         assert topics.centroids.shape == (50, 64)
-        assert topics.answer_offsets.shape == (50, 64)
+        assert topics.references.shape == (50, 64)
         assert np.allclose(np.linalg.norm(topics.centroids, axis=1), 1.0)
-        assert np.allclose(np.linalg.norm(topics.answer_offsets, axis=1), 1.0)
+        assert np.allclose(np.linalg.norm(topics.references, axis=1), 1.0)
 
     def test_deterministic_per_seed(self):
         a = generate_topics(20, 32, seed=7)
         b = generate_topics(20, 32, seed=7)
         c = generate_topics(20, 32, seed=8)
         assert np.array_equal(a.centroids, b.centroids)
-        assert np.array_equal(a.answer_offsets, b.answer_offsets)
+        assert np.array_equal(a.references, b.references)
         assert not np.array_equal(a.centroids, c.centroids)
 
     def test_topics_well_separated(self):
@@ -58,27 +67,26 @@ class TestTopics:
         assert np.sqrt(d2.min()) > 0.7
 
     def test_reference_is_deterministic_unit(self):
-        topics = generate_topics(10, 16, seed=2)
-        r1 = topics.reference_for(4)
-        r2 = topics.reference_for(4)
-        assert np.array_equal(r1, r2)
-        assert np.linalg.norm(r1) == pytest.approx(1.0, abs=1e-12)
-        expected = topics.centroids[4] + topics.answer_offsets[4]
-        expected /= np.linalg.norm(expected)
-        assert np.allclose(r1, expected, atol=1e-15)
+        topics = generate_topics(300, 64, seed=2)
+        offsets = answer_offsets(300, 64, seed=2)
+        for t in range(300):
+            ref = topics.reference_for(t)
+            assert np.array_equal(ref, unit(topics.centroids[t] + offsets[t]))
+            assert np.linalg.norm(ref) == pytest.approx(1.0, abs=1e-12)
 
     def test_reference_is_computed_once_and_read_only(self):
         topics = generate_topics(10, 16, seed=2)
         ref = topics.reference_for(4)
-        assert topics.reference_for(4) is ref
-        assert np.array_equal(ref, unit(topics.centroids[4] + topics.answer_offsets[4]))
-        assert not ref.flags.writeable
+        assert np.shares_memory(ref, topics.references)
+        assert np.array_equal(ref, topics.references[4])
+        assert not ref.flags.writeable and not topics.references.flags.writeable
         with pytest.raises(ValueError):
             ref[0] = 0.0
         gen = WorkloadGenerator(topics, 2, 4, 0.9, 0.05, seed=3)
         reqs = [r for slot in range(20) for r in gen.slot_requests(slot)]
         for r in reqs:
-            assert r.reference_vec is topics.reference_for(r.topic)
+            assert np.shares_memory(r.reference_vec, topics.references)
+            assert np.array_equal(r.reference_vec, topics.references[r.topic])
 
     def test_invalid_arguments(self):
         with pytest.raises(ConfigError):
@@ -88,7 +96,7 @@ class TestTopics:
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ConfigError):
-            TopicSet(centroids=np.eye(3), answer_offsets=np.eye(4))
+            TopicSet(centroids=np.eye(3), references=np.eye(4))
 
 
 class TestGenerator:
