@@ -208,6 +208,14 @@ class TestFilterBest:
         with pytest.raises(EmptyCorrelationError):
             filter_best(CorrelationSet([]), 1.0, 0.1)
 
+    def test_matrix_layout_and_padding(self):
+        corr = CorrelationSet([self.entry(0, 1.0, 3)])
+        m = correlation_features(corr, 4).reshape(3, 4)
+        assert m[0, 0] == 0.5  # similarity
+        assert m[1, 0] == float(RecordKind.QUESTION)
+        assert m[2, 0] == np.log1p(3.0)  # use count
+        assert np.all(m[:, 1:] == 0.0)
+
 
 class TestCacheValue:
     def test_update_recurrence_hand_values(self):
