@@ -54,15 +54,16 @@ from .marl import (
 )
 from .baselines import (
     ABLATIONS,
+    POLICY_NAMES,
     AblationSpec,
     DecisionContext,
     LearnedPolicy,
     PayoffGreedyPolicy,
     RandomPolicy,
     ThresholdPolicy,
-    ablation_spec,
+    resolve_policy,
 )
-from .config import ExperimentConfig, load_config, policy_kind
+from .config import ExperimentConfig, load_config
 from .harness import (
     MetricsReport,
     MetricsWindow,

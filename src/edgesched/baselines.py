@@ -8,8 +8,10 @@ learned schedulers.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -139,23 +141,33 @@ class LearnedPolicy(BasePolicy):
 class AblationSpec:
     """Which learned-scheduler components a named variant enables."""
 
-    name: str
     use_encoder: bool
     use_demos: bool
 
 
 ABLATIONS = {
-    "mappo": AblationSpec("mappo", use_encoder=False, use_demos=False),
-    "g-mappo": AblationSpec("g-mappo", use_encoder=False, use_demos=True),
-    "t-mappo": AblationSpec("t-mappo", use_encoder=True, use_demos=False),
-    "lrs": AblationSpec("lrs", use_encoder=True, use_demos=True),
+    "mappo": AblationSpec(use_encoder=False, use_demos=False),
+    "g-mappo": AblationSpec(use_encoder=False, use_demos=True),
+    "t-mappo": AblationSpec(use_encoder=True, use_demos=False),
+    "lrs": AblationSpec(use_encoder=True, use_demos=True),
 }
 
+_GREEDY_RE = re.compile(r"greedy-(\d+(?:\.\d+)?)")
+_FIXED = {"random": RandomPolicy, "greedy-llm": PayoffGreedyPolicy, **ABLATIONS}
+# Every policy name, as the CLI help and the unknown-name error list them.
+POLICY_NAMES = (*_FIXED, "greedy-<threshold>")
 
-def ablation_spec(name: str) -> AblationSpec:
-    try:
-        return ABLATIONS[name]
-    except KeyError:
+
+def resolve_policy(name: str) -> AblationSpec | Callable[[EdgeEnv], BasePolicy]:
+    """What the policy ``name`` runs: a learned variant's :data:`ABLATIONS`
+    entry, or a constructor that builds the named heuristic for an env.
+    Raises :class:`ConfigError` for a name outside :data:`POLICY_NAMES`."""
+    if name in _FIXED:
+        return _FIXED[name]
+    m = _GREEDY_RE.fullmatch(name)
+    if not m:
         raise ConfigError(
-            f"unknown learned variant {name!r}; known: {sorted(ABLATIONS)}"
-        ) from None
+            f"unknown policy {name!r}; expected one of {', '.join(POLICY_NAMES)}"
+        )
+    policy = ThresholdPolicy(float(m.group(1)))  # rejects a zero threshold
+    return lambda env: policy

@@ -13,44 +13,15 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import re
 from dataclasses import dataclass
 
-from .baselines import ABLATIONS
+from .baselines import AblationSpec, resolve_policy
 from .errors import ConfigError
 from .nn.models import EncoderConfig
 from .marl import TrainerConfig
 from .simenv import AnswerModel, DelayModel
 
 MODES = ("nearest", "broadcast")
-
-LEARNED_POLICIES = tuple(ABLATIONS)
-
-_GREEDY_RE = re.compile(r"^greedy-(\d+(?:\.\d+)?)$")
-
-
-def policy_kind(name: str) -> tuple[str, float | None]:
-    """Classify a policy name.
-
-    Returns one of ``("random", None)``, ``("greedy-llm", None)``,
-    ``("greedy", threshold)``, or ``("learned", None)``.
-    """
-    if name == "random":
-        return "random", None
-    if name == "greedy-llm":
-        return "greedy-llm", None
-    if name in LEARNED_POLICIES:
-        return "learned", None
-    m = _GREEDY_RE.match(name)
-    if m:
-        threshold = float(m.group(1))
-        if threshold <= 0:
-            raise ConfigError(f"greedy threshold must be positive, got {name!r}")
-        return "greedy", threshold
-    raise ConfigError(
-        f"unknown policy {name!r}; expected random, greedy-llm, "
-        f"greedy-<threshold>, or one of {', '.join(LEARNED_POLICIES)}"
-    )
 
 
 def _section(name: str, default):
@@ -148,15 +119,15 @@ class ExperimentConfig:
             raise ConfigError(
                 f"topics ({self.topics}) must cover every server ({self.servers})"
             )
-        policy_kind(self.policy)  # raises on unknown names
-        variant = ABLATIONS.get(self.policy)  # None for the heuristics
-        if variant and variant.use_demos and self.demo_slots < 1:
+        variant = resolve_policy(self.policy)
+        learned = isinstance(variant, AblationSpec)
+        if learned and variant.use_demos and self.demo_slots < 1:
             raise ConfigError("demo_slots must be >= 1 for demo-using policies")
         # Constructing the model objects runs their own validation.
         self.delay_model()
         self.answer_model()
         self.trainer_config()
-        if variant and variant.use_encoder:
+        if learned and variant.use_encoder:
             self.encoder_config()
         return self
 

@@ -18,22 +18,24 @@ import json
 import logging
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import jsonl
 from .baselines import (
+    POLICY_NAMES,
+    AblationSpec,
     BasePolicy,
     DecisionContext,
     LearnedPolicy,
     PayoffGreedyPolicy,
-    RandomPolicy,
-    ThresholdPolicy,
-    ablation_spec,
+    resolve_policy,
 )
-from .config import ExperimentConfig, load_config, policy_kind
+from .config import ExperimentConfig, load_config
 from .errors import ConfigError, ParseError
 from .marl import (
+    CORR_ROWS,
     DemoSet,
     ExperienceBuffer,
     RolloutDriver,
@@ -293,72 +295,53 @@ def _window_from(where: str, row: dict) -> MetricsWindow:
 # experiment assembly
 
 
-class _SlotSource:
-    """Uniform per-slot request supply from a generator or a replay file."""
-
-    def __init__(self, cfg: ExperimentConfig):
-        if cfg.workload_file:
-            requests = load_workload(cfg.workload_file, dim=cfg.dim)
-            if any(r.server >= cfg.servers for r in requests):
-                raise ConfigError(
-                    f"{cfg.workload_file}: request server index exceeds "
-                    f"configured servers ({cfg.servers})"
-                )
-            by_slot: dict[int, list] = {}
-            for r in requests:
-                by_slot.setdefault(r.slot, []).append(r)
-            self._slots = [by_slot[s] for s in sorted(by_slot)]
-            for group in self._slots:
-                if len(group) != cfg.servers:
-                    raise ConfigError(
-                        f"{cfg.workload_file}: slot {group[0].slot} has "
-                        f"{len(group)} requests, expected {cfg.servers}"
-                    )
-                servers = sorted(r.server for r in group)
-                if servers != list(range(cfg.servers)):
-                    raise ConfigError(
-                        f"{cfg.workload_file}: slot {group[0].slot} has requests "
-                        f"for servers {servers}, expected one per server"
-                    )
-            needed = cfg.train_slots + cfg.test_slots
-            if len(self._slots) < needed:
-                raise ConfigError(
-                    f"{cfg.workload_file}: {len(self._slots)} slots in file, "
-                    f"run needs {needed}"
-                )
-            self._gen = None
-        else:
-            topics = generate_topics(cfg.topics, cfg.dim, cfg.seed)
-            self._gen = WorkloadGenerator(
-                topics,
-                cfg.servers,
-                cfg.users,
-                cfg.repeat_ratio,
-                cfg.paraphrase_sigma,
-                cfg.seed,
+def _slot_requests(cfg: ExperimentConfig) -> Callable[[int], list]:
+    """``requests(slot)``: the slot's requests in server order, drawn from the
+    generator or read from a replay file.  A file's slots must be numbered
+    0, 1, 2, ... and hold one request per server; they are checked, grouped
+    and sorted here, once."""
+    if not cfg.workload_file:
+        topics = generate_topics(cfg.topics, cfg.dim, cfg.seed)
+        return WorkloadGenerator(
+            topics,
+            cfg.servers,
+            cfg.users,
+            cfg.repeat_ratio,
+            cfg.paraphrase_sigma,
+            cfg.seed,
+        ).slot_requests
+    requests = load_workload(cfg.workload_file, dim=cfg.dim)
+    if any(r.server >= cfg.servers for r in requests):
+        raise ConfigError(
+            f"{cfg.workload_file}: request server index exceeds "
+            f"configured servers ({cfg.servers})"
+        )
+    slots: dict[int, list] = {}
+    for r in sorted(requests, key=lambda r: r.server):
+        slots.setdefault(r.slot, []).append(r)
+    for s in range(len(slots)):
+        if s not in slots:
+            raise ConfigError(
+                f"{cfg.workload_file}: slot {s} is missing; "
+                "slots must be numbered 0, 1, 2, ..."
             )
-            self._slots = None
-        self._cursor = 0
-
-    def next_slot(self) -> list:
-        """Requests for the next slot, in server order."""
-        i = self._cursor
-        self._cursor += 1
-        if self._gen is not None:
-            return self._gen.slot_requests(i)
-        return sorted(self._slots[i], key=lambda r: r.server)
-
-
-def _make_heuristic(policy: str, env: EdgeEnv) -> BasePolicy:
-    """The heuristic named ``policy``, scheduling for ``env``."""
-    kind, threshold = policy_kind(policy)
-    if kind == "random":
-        return RandomPolicy(env)
-    if kind == "greedy":
-        return ThresholdPolicy(threshold)
-    if kind == "greedy-llm":
-        return PayoffGreedyPolicy(env)
-    raise ConfigError(f"{policy!r} is not a heuristic policy")
+        servers = [r.server for r in slots[s]]
+        if len(servers) != cfg.servers:
+            raise ConfigError(
+                f"{cfg.workload_file}: slot {s} has "
+                f"{len(servers)} requests, expected {cfg.servers}"
+            )
+        if servers != list(range(cfg.servers)):
+            raise ConfigError(
+                f"{cfg.workload_file}: slot {s} has requests "
+                f"for servers {servers}, expected one per server"
+            )
+    needed = cfg.train_slots + cfg.test_slots
+    if len(slots) < needed:
+        raise ConfigError(
+            f"{cfg.workload_file}: {len(slots)} slots in file, run needs {needed}"
+        )
+    return slots.__getitem__
 
 
 class _Deployment:
@@ -390,7 +373,7 @@ class _Deployment:
             evict_period=cfg.evict_period,
             seed=cfg.seed,
         )
-        self.source = _SlotSource(cfg)
+        self.requests = _slot_requests(cfg)
         self.log_fh = log_fh
 
     def observe(self, group, features: bool) -> tuple:
@@ -427,7 +410,7 @@ class _Deployment:
         learned = isinstance(actor, RolloutDriver)
         features = learned or buffer is not None
         for slot in slots:
-            reqs = self.source.next_slot()
+            reqs = self.requests(slot)
             env.begin_slot(slot)
             groups = [list(enumerate(reqs))]
             if mode == "broadcast":
@@ -485,7 +468,7 @@ def build_expert_demos(cfg: ExperimentConfig) -> DemoSet:
     buffer = ExperienceBuffer(cfg.servers, cfg.min_agent_batch)
     deployment.play(range(cfg.demo_slots), "nearest", expert, buffer, None)
     # Bootstrap observation for the final partial segment.
-    reqs = deployment.source.next_slot()
+    reqs = deployment.requests(cfg.demo_slots)
     deployment.env.begin_slot(cfg.demo_slots)
     _, feats, questions = deployment.observe(list(enumerate(reqs)), features=True)
     buffer.hand_off(feats, questions)
@@ -505,25 +488,25 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     cfg.validate()
     log_fh = open(cfg.transitions_out, "w") if cfg.transitions_out else None
     with log_fh or contextlib.nullcontext():
-        kind, _ = policy_kind(cfg.policy)
+        variant = resolve_policy(cfg.policy)
+        learned = isinstance(variant, AblationSpec)
         deployment = _Deployment(cfg, log_fh)
         buffer = None
-        if kind == "learned":
-            spec = ablation_spec(cfg.policy)
-            demos = build_expert_demos(cfg) if spec.use_demos else None
+        if learned:
+            demos = build_expert_demos(cfg) if variant.use_demos else None
             trainer = Trainer(
                 n_agents=cfg.servers,
-                corr_dim=3 * cfg.query_width,
+                corr_dim=CORR_ROWS * cfg.query_width,
                 question_dim=cfg.dim,
                 cfg=cfg.trainer_config(),
-                encoder_cfg=cfg.encoder_config() if spec.use_encoder else None,
+                encoder_cfg=cfg.encoder_config() if variant.use_encoder else None,
                 demos=demos,
                 seed=cfg.seed,
             )
             actor: BasePolicy | RolloutDriver = RolloutDriver(trainer)
             buffer = trainer.buffer
         else:
-            actor = _make_heuristic(cfg.policy, deployment.env)
+            actor = variant(deployment.env)
 
         # Training phase: origin-server routing, learned policies update.
         acc_train = WindowAccumulator("train", cfg.window_size, cfg.servers)
@@ -531,7 +514,7 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
         acc_train.flush()
 
         # Frozen test phase.
-        if kind == "learned":
+        if learned:
             actor = LearnedPolicy(trainer.snapshot(), deployment.env)
         acc_test = WindowAccumulator("test", cfg.window_size, cfg.servers)
         test_slots = range(cfg.train_slots, cfg.train_slots + cfg.test_slots)
@@ -642,8 +625,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument(
         "--policy",
-        help="override the scheduling policy "
-        "(random, greedy-llm, greedy-<threshold>, mappo, g-mappo, t-mappo, lrs)",
+        help=f"override the scheduling policy ({', '.join(POLICY_NAMES)})",
     )
     parser.add_argument(
         "--mode", choices=("nearest", "broadcast"), help="test-phase routing mode"
@@ -691,11 +673,10 @@ def cli_main(argv=None) -> int:
 
     if args.export_workload:
         try:
-            source = _SlotSource(dataclasses.replace(cfg, workload_file=None))
-            slots = cfg.train_slots + cfg.test_slots
+            requests = _slot_requests(dataclasses.replace(cfg, workload_file=None))
+            slots = range(cfg.train_slots + cfg.test_slots)
             count = save_workload(
-                args.export_workload,
-                [req for _ in range(slots) for req in source.next_slot()],
+                args.export_workload, [req for s in slots for req in requests(s)]
             )
         except (ConfigError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -35,8 +35,12 @@ from .vecstore import CorrelationSet
 log = logging.getLogger(__name__)
 
 
+# correlation_features' rows per hit: similarity, kind code, log1p use count.
+CORR_ROWS = 3
+
+
 def correlation_features(corr: CorrelationSet, width: int) -> np.ndarray:
-    """A correlation set as network input: ``3 * width`` values.
+    """A correlation set as network input: ``CORR_ROWS * width`` values.
 
     Rows of ``width`` hold each of the nearest ``width`` hits' similarity,
     kind code and log1p use count (counts grow without bound; the others
@@ -45,7 +49,7 @@ def correlation_features(corr: CorrelationSet, width: int) -> np.ndarray:
     """
     h = corr.hits
     k = min(width, len(corr))
-    out = np.zeros((3, width))
+    out = np.zeros((CORR_ROWS, width))
     out[0, :k] = 1.0 / (1.0 + h.distance[:k])
     out[1, :k] = h.kind[:k]
     out[2, :k] = np.log1p(h.freq[:k])

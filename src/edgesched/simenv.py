@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigError
 from .seeding import DOMAIN_ANSWER, DOMAIN_DELAY, KeyedStreams
 from .seeding import substream  # noqa: F401  (bench/tracer.py wraps this binding)
-from .vecstore import CorrelationSet, VectorStore, best_hit, clamp_negative
+from .vecstore import CorrelationSet, RecordKind, VectorStore, best_hit, clamp_negative
 from .vecstore import filter_best  # noqa: F401  (bench/tracer.py wraps this binding)
 from .workload import Request, random_unit
 
@@ -263,7 +263,7 @@ class EdgeEnv:
         # of the query and its answer half is still stored.
         if question is None:
             qdist = np.inf
-        elif corr.hits.kind[i] == 1:  # kind code 1: the hit is the question
+        elif int(corr.hits.kind[i]) == RecordKind.QUESTION:
             qdist = dist
         else:
             qdist = _distance(request.question_vec, question)

@@ -490,8 +490,8 @@ class VectorStore:
         self, corr: CorrelationSet, i: int
     ) -> tuple[int, np.ndarray | None, np.ndarray | None]:
         """Hit ``i``'s row in this store and the question and answer vectors
-        of its pair; a half that has been evicted is None.  A question (kind
-        code 1) is stored just before its answer: the partner is adjacent.
+        of its pair; a half that has been evicted is None.  A question is
+        stored just before its answer: the partner is adjacent.
 
         Raises ``KeyError`` unless ``corr`` is this store's query result and
         the row still holds the hit's record (an eviction sweep moves rows).
@@ -500,11 +500,11 @@ class VectorStore:
         n = self._n
         if corr._store is not self or row >= n or self._rid[row] != corr.hits.rid[i]:
             raise KeyError(f"hit {i} is not a live row of this store")
-        question, answer = (row, row + 1) if self._kind[row] == 1 else (row - 1, row)
+        question = row if int(self._kind[row]) == RecordKind.QUESTION else row - 1
         pair = self._pair[row]
         return row, *[
             self._vecs[r] if 0 <= r < n and self._pair[r] == pair else None
-            for r in (question, answer)
+            for r in (question, question + 1)
         ]
 
     # -- search ------------------------------------------------------------

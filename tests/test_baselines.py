@@ -12,7 +12,7 @@ from edgesched.baselines import (
     PayoffGreedyPolicy,
     RandomPolicy,
     ThresholdPolicy,
-    ablation_spec,
+    resolve_policy,
 )
 from edgesched.errors import ConfigError
 from edgesched.marl import Trainer, TrainerConfig, correlation_features
@@ -318,9 +318,9 @@ class TestAblations:
         )
 
     def test_lookup_returns_named_spec(self):
-        spec = ablation_spec("t-mappo")
-        assert spec.name == "t-mappo"
+        for name, spec in ABLATIONS.items():
+            assert resolve_policy(name) is spec
 
     def test_unknown_variant_raises(self):
-        with pytest.raises(ConfigError, match="known"):
-            ablation_spec("dqn")
+        with pytest.raises(ConfigError, match="unknown policy"):
+            resolve_policy("dqn")

@@ -1,6 +1,7 @@
 """Tests for config parsing, metric windows, report files, and the CLI."""
 
 import dataclasses
+import inspect
 import io
 import json
 import os
@@ -18,8 +19,8 @@ from hypothesis import given, strategies as st
 
 import edgesched
 from edgesched import baselines, harness, seeding, simenv
-from edgesched.baselines import LearnedPolicy
-from edgesched.config import ExperimentConfig, load_config, policy_kind
+from edgesched.baselines import LearnedPolicy, resolve_policy
+from edgesched.config import ExperimentConfig, load_config
 from edgesched.errors import ConfigError, ParseError
 from edgesched.harness import (
     MetricsReport,
@@ -27,6 +28,7 @@ from edgesched.harness import (
     PhaseSummary,
     WindowAccumulator,
     _summaries_from_windows,
+    build_arg_parser,
     build_expert_demos,
     cli_main,
     emit_report,
@@ -34,7 +36,10 @@ from edgesched.harness import (
     run_experiment,
     run_invariant_checks,
 )
+from edgesched.marl import TrainerConfig
+from edgesched.nn import EncoderConfig
 from edgesched.simenv import Transition
+from edgesched.vecstore import VectorStore
 from edgesched.workload import WorkloadGenerator, generate_topics, load_workload, save_workload
 
 
@@ -90,28 +95,54 @@ def make_t(server=0, q=-0.1, d=1.0, r=-2.0, resolved="A", slot=0, rid=0):
     )
 
 
+def small_env():
+    return simenv.EdgeEnv([VectorStore(dim=8, nlist=1)])
+
+
 class TestPolicyKind:
+    """What each policy name resolves to, through ``baselines.resolve_policy``."""
+
     def test_fixed_names(self):
-        assert policy_kind("random") == ("random", None)
-        assert policy_kind("greedy-llm") == ("greedy-llm", None)
+        env = small_env()
+        assert isinstance(resolve_policy("random")(env), baselines.RandomPolicy)
+        assert isinstance(resolve_policy("greedy-llm")(env), baselines.PayoffGreedyPolicy)
         for name in ("mappo", "g-mappo", "t-mappo", "lrs"):
-            assert policy_kind(name) == ("learned", None)
+            assert resolve_policy(name) is baselines.ABLATIONS[name]
 
     def test_greedy_threshold_parses(self):
-        kind, threshold = policy_kind("greedy-0.3")
-        assert kind == "greedy"
-        assert threshold == pytest.approx(0.3)
-        assert policy_kind("greedy-1")[1] == 1.0
+        policy = resolve_policy("greedy-0.3")(small_env())
+        assert isinstance(policy, baselines.ThresholdPolicy)
+        assert policy.threshold == pytest.approx(0.3)
+        assert resolve_policy("greedy-1")(small_env()).threshold == 1.0
 
     def test_unknown_name(self):
         with pytest.raises(ConfigError, match="unknown policy"):
-            policy_kind("dqn")
+            resolve_policy("dqn")
 
     def test_bad_threshold(self):
         with pytest.raises(ConfigError, match="positive"):
-            policy_kind("greedy-0")
+            resolve_policy("greedy-0")
+        with pytest.raises(ConfigError, match="positive"):
+            tiny_cfg(policy="greedy-0").validate()
         with pytest.raises(ConfigError):
-            policy_kind("greedy--1")
+            resolve_policy("greedy--1")
+
+    def test_help_and_error_list_exactly_the_names_that_resolve(self):
+        help_text = " ".join(build_arg_parser().format_help().split())
+        listed = re.search(r"override the scheduling policy \((.*?)\)", help_text)[1]
+        with pytest.raises(ConfigError, match="unknown policy") as exc:
+            resolve_policy("dqn")
+        assert str(exc.value).endswith(f"expected one of {listed}")
+        names = listed.split(", ")
+        assert len(names) == len(set(names)) == 7
+        for name in names:
+            resolve_policy(name.replace("<threshold>", "0.3"))
+        expected = {"random", "greedy-llm", "greedy-<threshold>", *baselines.ABLATIONS}
+        assert set(names) == expected
+        near_misses = ["greedy", "greedy-", "greedy-x", "Random", "lrs ", "mappo2", ""]
+        for name in near_misses:
+            with pytest.raises(ConfigError, match="unknown policy"):
+                resolve_policy(name)
 
 
 class TestConfigValidation:
@@ -186,6 +217,29 @@ class TestConfigValidation:
             assert {k: getattr(sub, k) for k in expected} == expected
             unfed = {f.name for f in dataclasses.fields(sub)} - set(expected)
             assert unfed <= {"policy_hidden", "value_hidden"}
+
+    def test_each_default_equals_the_default_it_feeds(self):
+        # A default declared in two places can drift apart unseen: runs read
+        # the config's, and direct constructions the other.
+        cfg = ExperimentConfig()
+        fields = {f.name for f in dataclasses.fields(cfg)}
+        field_of = dict(edge_query="edge_delay", cloud_llm="cloud_delay")
+        targets = [
+            simenv.DelayModel, simenv.AnswerModel, TrainerConfig, EncoderConfig,
+            simenv.EdgeEnv, VectorStore,
+        ]
+        for target in targets:
+            fed = {
+                field_of.get(name, name): param.default
+                for name, param in inspect.signature(target).parameters.items()
+                if param.default is not inspect.Parameter.empty
+                and field_of.get(name, name) in fields
+            }
+            assert fed, target
+            if target is simenv.DelayModel:
+                assert set(fed) == {"edge_delay", "cloud_delay", "jitter_sigma"}
+            for field, default in fed.items():
+                assert getattr(cfg, field) == default, (target.__name__, field)
 
     def test_shipped_demo_config_validates(self):
         cfg = load_config(Path(__file__).parents[1] / "demos" / "small.ini").validate()
@@ -748,6 +802,27 @@ class TestWorkloadReplay:
         save_workload(dup, reqs)
         with pytest.raises(ConfigError, match=r"servers \[0, 0\], expected one per"):
             run_experiment(dataclasses.replace(cfg, workload_file=str(dup)))
+
+    @pytest.mark.parametrize(
+        "renumber,missing",
+        [(lambda s: 7 + 3 * s, 0), (lambda s: s + (s >= 2), 2), (lambda s: s + 1, 0)],
+        ids=["spaced-from-7", "gap-at-2", "from-1"],
+    )
+    def test_misnumbered_slots_fail_before_the_run(
+        self, tmp_path, monkeypatch, renumber, missing
+    ):
+        def slot_loop(*args, **kwargs):
+            raise AssertionError("slot loop entered with misnumbered slots")
+
+        monkeypatch.setattr(harness._Deployment, "play", slot_loop)
+        cfg = tiny_cfg()
+        reqs = load_workload(self.export(tmp_path, cfg), dim=cfg.dim)
+        for r in reqs:
+            r.slot = renumber(r.slot)
+        bad = tmp_path / "renumbered.jsonl"
+        save_workload(bad, reqs)
+        with pytest.raises(ConfigError, match=f"slot {missing} is missing"):
+            run_experiment(dataclasses.replace(cfg, workload_file=str(bad)))
 
     def test_server_index_out_of_range(self, tmp_path):
         cfg = tiny_cfg()
