@@ -78,9 +78,9 @@ class PayoffGreedyPolicy(BasePolicy):
 
     def __init__(self, env: EdgeEnv):
         self.env = env
-        self.edge_delay = env.delay_model.edge_query
+        self.edge_delay = env.delay_model.edge_delay
         self.initial_estimate = env.reward(
-            -env.answer_model.sigma_llm, env.delay_model.cloud_llm
+            -env.answer_model.sigma_llm, env.delay_model.cloud_delay
         )
         self._windows = [deque(maxlen=CLOUD_WINDOW) for _ in range(env.num_servers)]
         self._estimates = [self.initial_estimate] * env.num_servers

@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import inspect
 from dataclasses import dataclass
 
 from .baselines import AblationSpec, resolve_policy
 from .errors import ConfigError
 from .nn.models import EncoderConfig
 from .marl import TrainerConfig
-from .simenv import AnswerModel, DelayModel
+from .simenv import AnswerModel, DelayModel, EdgeEnv
+from .vecstore import VectorStore
+from .workload import check_workload
 
 MODES = ("nearest", "broadcast")
 
@@ -97,14 +100,12 @@ class ExperimentConfig:
     # ------------------------------------------------------------------
 
     def validate(self) -> "ExperimentConfig":
+        """Check every setting before a run: the run's own rules here, and
+        each component's by building the components as a run builds them."""
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.servers < 1:
             raise ConfigError(f"servers must be >= 1, got {self.servers}")
-        if self.users < self.servers:
-            raise ConfigError(
-                f"users ({self.users}) must be >= servers ({self.servers})"
-            )
         if self.dim < 8:
             raise ConfigError(f"dim must be >= 8, got {self.dim}")
         if self.train_slots < 0 or self.test_slots < 0:
@@ -113,46 +114,38 @@ class ExperimentConfig:
             raise ConfigError(f"window_size must be >= 1, got {self.window_size}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not 0.0 <= self.repeat_ratio <= 1.0:
-            raise ConfigError(f"repeat_ratio must lie in [0, 1], got {self.repeat_ratio}")
-        if self.topics < self.servers and self.workload_file is None:
-            raise ConfigError(
-                f"topics ({self.topics}) must cover every server ({self.servers})"
-            )
         variant = resolve_policy(self.policy)
         learned = isinstance(variant, AblationSpec)
         if learned and variant.use_demos and self.demo_slots < 1:
             raise ConfigError("demo_slots must be >= 1 for demo-using policies")
-        # Constructing the model objects runs their own validation.
-        self.delay_model()
-        self.answer_model()
-        self.trainer_config()
+        if self.workload_file is None:
+            self.build(check_workload)
+        self.edge_env(servers=1)
+        self.build(TrainerConfig)
         if learned and variant.use_encoder:
             self.encoder_config()
         return self
 
-    # -- sub-configs -------------------------------------------------------
+    # -- components --------------------------------------------------------
 
-    def delay_model(self) -> DelayModel:
-        return DelayModel(
-            edge_query=self.edge_delay,
-            cloud_llm=self.cloud_delay,
-            jitter_sigma=self.jitter_sigma,
+    def build(self, cls, **explicit):
+        """``cls(**explicit)`` plus every field of this config that names a
+        parameter of ``cls``, so no setting is forwarded by hand."""
+        params = inspect.signature(cls).parameters
+        shared = {name: getattr(self, name) for name in params if name in _FIELD_TYPES}
+        return cls(**shared, **explicit)
+
+    def edge_env(self, servers: int) -> EdgeEnv:
+        """The serving environment over ``servers`` fresh stores."""
+        return self.build(
+            EdgeEnv,
+            stores=[self.build(VectorStore, server=n) for n in range(servers)],
+            delay_model=self.build(DelayModel),
+            answer_model=self.build(AnswerModel),
         )
 
-    def _shared(self, cls, **explicit):
-        """A ``cls`` built from the fields it shares by name with this config."""
-        names = [f.name for f in dataclasses.fields(cls) if f.name in _FIELD_TYPES]
-        return cls(**{name: getattr(self, name) for name in names}, **explicit)
-
-    def answer_model(self) -> AnswerModel:
-        return self._shared(AnswerModel)
-
-    def trainer_config(self) -> TrainerConfig:
-        return self._shared(TrainerConfig)
-
     def encoder_config(self) -> EncoderConfig:
-        return self._shared(EncoderConfig, input_dim=self.dim)
+        return self.build(EncoderConfig, input_dim=self.dim)
 
     def flat_dict(self) -> dict[str, str]:
         """Stable string form of every field, for report echoing."""

@@ -40,10 +40,11 @@ from .marl import (
     ExperienceBuffer,
     RolloutDriver,
     Trainer,
+    TrainerConfig,
     correlation_features,
 )
 from .seeding import DOMAIN_DEMO, substream
-from .simenv import ActionChoice, EdgeEnv, Transition
+from .simenv import ActionChoice, Transition
 from .vecstore import VectorStore
 from .workload import WorkloadGenerator, generate_topics, load_workload, save_workload
 
@@ -348,31 +349,7 @@ class _Deployment:
     """One run's servers and requests; outcomes are logged to ``log_fh``."""
 
     def __init__(self, cfg: ExperimentConfig, log_fh):
-        stores = [
-            VectorStore(
-                dim=cfg.dim,
-                nlist=cfg.nlist,
-                min_candidates=cfg.min_candidates,
-                rebuild_every=cfg.rebuild_every,
-                seed=cfg.seed,
-                server=n,
-            )
-            for n in range(cfg.servers)
-        ]
-        self.env = EdgeEnv(
-            stores,
-            delay_model=cfg.delay_model(),
-            answer_model=cfg.answer_model(),
-            quality_weight=cfg.quality_weight,
-            delay_weight=cfg.delay_weight,
-            reward_scale=cfg.reward_scale,
-            filter_value_weight=cfg.filter_value_weight,
-            filter_freq_weight=cfg.filter_freq_weight,
-            query_width=cfg.query_width,
-            tau_serve=cfg.tau_serve,
-            evict_period=cfg.evict_period,
-            seed=cfg.seed,
-        )
+        self.env = cfg.edge_env(cfg.servers)
         self.requests = _slot_requests(cfg)
         self.log_fh = log_fh
 
@@ -494,14 +471,14 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
         buffer = None
         if learned:
             demos = build_expert_demos(cfg) if variant.use_demos else None
-            trainer = Trainer(
+            trainer = cfg.build(
+                Trainer,
                 n_agents=cfg.servers,
                 corr_dim=CORR_ROWS * cfg.query_width,
                 question_dim=cfg.dim,
-                cfg=cfg.trainer_config(),
+                cfg=cfg.build(TrainerConfig),
                 encoder_cfg=cfg.encoder_config() if variant.use_encoder else None,
                 demos=demos,
-                seed=cfg.seed,
             )
             actor: BasePolicy | RolloutDriver = RolloutDriver(trainer)
             buffer = trainer.buffer

@@ -77,16 +77,13 @@ class Adam:
         bias2 = 1.0 - b2**self.t
         for name in params.names():
             g = np.asarray(grads[name], dtype=float)
-            m = self._m.get(name)
-            if m is None:
-                # asarray: numpy returns a scalar, not an array, for 0-d g.
-                m = self._m[name] = np.asarray((1.0 - b1) * g)
-                v = self._v[name] = np.asarray((1.0 - b2) * g * g)
-            else:
-                v = self._v[name]
-                m *= b1
-                m += (1.0 - b1) * g
-                v *= b2
-                v += (1.0 - b2) * g * g
+            if name not in self._m:
+                self._m[name] = np.zeros_like(g)
+                self._v[name] = np.zeros_like(g)
+            m, v = self._m[name], self._v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
             step = self.lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)
             params.tensors[name] -= step

@@ -56,21 +56,21 @@ class ActionChoice:
 class DelayModel:
     """Base service delays (seconds) with multiplicative lognormal jitter."""
 
-    edge_query: float = 0.81
-    cloud_llm: float = 3.34
+    edge_delay: float = 0.81
+    cloud_delay: float = 3.34
     jitter_sigma: float = 0.05
 
     def __post_init__(self):
-        if self.edge_query <= 0 or self.cloud_llm <= 0:
+        if self.edge_delay <= 0 or self.cloud_delay <= 0:
             raise ConfigError("base delays must be strictly positive")
         if self.jitter_sigma < 0:
             raise ConfigError("jitter_sigma must be >= 0")
 
     def sample_edge(self, rng: np.random.Generator) -> float:
-        return self.edge_query * float(rng.lognormal(0.0, self.jitter_sigma))
+        return self.edge_delay * float(rng.lognormal(0.0, self.jitter_sigma))
 
     def sample_cloud(self, rng: np.random.Generator) -> float:
-        return self.cloud_llm * float(rng.lognormal(0.0, self.jitter_sigma))
+        return self.cloud_delay * float(rng.lognormal(0.0, self.jitter_sigma))
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,8 @@ def reward(
     scale: float = 10.0,
 ) -> float:
     """Scalar reward: the negated QoS cost, scaled for learning."""
-    if quality_weight <= 0 or delay_weight <= 0:
-        raise ConfigError("QoS weights must be strictly positive")
+    if quality_weight <= 0 or delay_weight <= 0 or scale <= 0:
+        raise ConfigError("QoS weights and reward_scale must be strictly positive")
     return -scale * qos_cost(q, d, quality_weight, delay_weight)
 
 
@@ -185,8 +185,8 @@ class EdgeEnv:
             raise ConfigError("tau_serve must be strictly positive")
         if evict_period < 0:
             raise ConfigError("evict_period must be >= 0 (0 disables eviction)")
-        if quality_weight <= 0 or delay_weight <= 0:
-            raise ConfigError("QoS weights must be strictly positive")
+        if quality_weight <= 0 or delay_weight <= 0 or reward_scale <= 0:
+            raise ConfigError("QoS weights and reward_scale must be strictly positive")
         self.stores = list(stores)
         self.delay_model = delay_model or DelayModel()
         self.answer_model = answer_model or AnswerModel()

@@ -168,6 +168,27 @@ class _ServerSampler:
         return unit(noisy)
 
 
+def check_workload(
+    topics: int, servers: int, users: int, repeat_ratio: float, paraphrase_sigma: float
+) -> None:
+    """Raise :class:`ConfigError` unless a :class:`WorkloadGenerator` can run
+    with these settings; its parameters are named after the config fields."""
+    if servers < 1:
+        raise ConfigError(f"servers must be >= 1, got {servers}")
+    if users < servers:
+        raise ConfigError(
+            f"need at least one user per server ({users} users, {servers} servers)"
+        )
+    if not 0.0 <= repeat_ratio <= 1.0:
+        raise ConfigError(f"repeat_ratio must lie in [0, 1], got {repeat_ratio}")
+    if paraphrase_sigma < 0.0:
+        raise ConfigError(f"paraphrase_sigma must be >= 0, got {paraphrase_sigma}")
+    if topics < servers:
+        raise ConfigError(
+            f"{topics} topics cannot be partitioned across {servers} servers"
+        )
+
+
 class WorkloadGenerator:
     """Seeded multi-server request stream: one request per server per slot."""
 
@@ -180,22 +201,9 @@ class WorkloadGenerator:
         paraphrase_sigma: float,
         seed: int,
     ):
-        if num_servers < 1:
-            raise ConfigError(f"num_servers must be >= 1, got {num_servers}")
-        if num_users < num_servers:
-            raise ConfigError(
-                f"need at least one user per server ({num_users} users, "
-                f"{num_servers} servers)"
-            )
-        if not 0.0 <= repeat_ratio <= 1.0:
-            raise ConfigError(f"repeat_ratio must lie in [0, 1], got {repeat_ratio}")
-        if paraphrase_sigma < 0.0:
-            raise ConfigError(f"paraphrase_sigma must be >= 0, got {paraphrase_sigma}")
-        if topics.num_topics < num_servers:
-            raise ConfigError(
-                f"{topics.num_topics} topics cannot be partitioned across "
-                f"{num_servers} servers"
-            )
+        check_workload(
+            topics.num_topics, num_servers, num_users, repeat_ratio, paraphrase_sigma
+        )
         self.topics = topics
         self.num_servers = num_servers
         self.num_users = num_users

@@ -130,7 +130,7 @@ class TestPayoffGreedy:
         pol = PayoffGreedyPolicy(env)
         crossover = (
             -pol.initial_estimate / env.reward_scale
-            - env.delay_weight * env.delay_model.edge_query
+            - env.delay_weight * env.delay_model.edge_delay
         )
         assert crossover == pytest.approx(0.403, abs=1e-12)
         eps = 1e-9
@@ -176,7 +176,7 @@ class TestPayoffGreedy:
         assert pol.decide(ctx)[0].a == 0
 
     def test_custom_delay_model_moves_crossover(self):
-        cheap_edge = DelayModel(edge_query=0.2, cloud_llm=3.34)
+        cheap_edge = DelayModel(edge_delay=0.2, cloud_delay=3.34)
         pol = PayoffGreedyPolicy(make_env(delay_model=cheap_edge))
         # crossover now at 0.484 - 0.02 = 0.464
         assert pol.decide(make_ctx(corr_of(0.45)))[0].a == 0
@@ -184,7 +184,7 @@ class TestPayoffGreedy:
 
     def test_custom_qos_settings_move_crossover(self):
         env = make_env(
-            delay_model=DelayModel(edge_query=0.5, cloud_llm=2.0),
+            delay_model=DelayModel(edge_delay=0.5, cloud_delay=2.0),
             answer_model=AnswerModel(sigma_llm=0.2),
             quality_weight=2.0,
             delay_weight=0.3,

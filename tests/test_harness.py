@@ -1,6 +1,7 @@
 """Tests for config parsing, metric windows, report files, and the CLI."""
 
 import dataclasses
+import functools
 import inspect
 import io
 import json
@@ -36,7 +37,7 @@ from edgesched.harness import (
     run_experiment,
     run_invariant_checks,
 )
-from edgesched.marl import TrainerConfig
+from edgesched.marl import Trainer, TrainerConfig
 from edgesched.nn import EncoderConfig
 from edgesched.simenv import Transition
 from edgesched.vecstore import VectorStore
@@ -145,6 +146,25 @@ class TestPolicyKind:
                 resolve_policy(name)
 
 
+# The classes ExperimentConfig.build serves, each with its parameters that
+# name no config field: a run passes those itself or leaves their defaults.
+BUILT = {
+    VectorStore: {"server"},
+    simenv.EdgeEnv: {"stores", "delay_model", "answer_model"},
+    simenv.DelayModel: set(),
+    simenv.AnswerModel: set(),
+    TrainerConfig: {"policy_hidden", "value_hidden"},
+    EncoderConfig: {"input_dim"},
+    Trainer: {"n_agents", "corr_dim", "question_dim", "cfg", "encoder_cfg", "demos"},
+}
+CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+def fed_fields(cls) -> set:
+    """The config fields that ``ExperimentConfig.build`` passes to ``cls``."""
+    return set(inspect.signature(cls).parameters) & CONFIG_FIELDS
+
+
 class TestConfigValidation:
     def test_defaults_validate(self):
         ExperimentConfig().validate()
@@ -165,6 +185,17 @@ class TestConfigValidation:
             ("topics", 1),
             ("policy", "nope"),
             ("seed", -1),
+            ("nlist", 0),
+            ("min_candidates", 0),
+            ("rebuild_every", 0),
+            ("query_width", 0),
+            ("tau_serve", 0.0),
+            ("evict_period", -1),
+            ("quality_weight", 0.0),
+            ("delay_weight", -1.0),
+            ("paraphrase_sigma", -0.1),
+            ("reward_scale", 0.0),
+            ("reward_scale", -1.0),
         ],
     )
     def test_bad_fields_raise(self, field, value):
@@ -186,9 +217,16 @@ class TestConfigValidation:
             feature_dim=4,
         ).validate()
 
-    def test_sub_configs_receive_every_setting(self):
+    def test_sub_configs_receive_every_setting(self, monkeypatch):
         # Distinct, valid, non-default values, so a setting that reaches the
-        # wrong counterpart, or none, shows.
+        # wrong component, or none, shows on the components a run builds.
+        store = dict(nlist=7, min_candidates=9, rebuild_every=50, query_width=8)
+        env = dict(
+            quality_weight=1.5, delay_weight=0.12, reward_scale=6.5,
+            filter_value_weight=1.25, filter_freq_weight=0.35, tau_serve=0.18,
+            evict_period=70, edge_delay=0.65, cloud_delay=2.9, jitter_sigma=0.08,
+            sigma_llm=0.25, sigma_enhance=0.04, sigma_mislead=0.2, relevance_radius=0.6,
+        )
         trainer = dict(
             gamma=0.9, gae_lambda=0.8, clip_epsilon=0.3, value_coeff=0.7,
             entropy_coeff=0.02, lr_policy=2e-4, lr_value=5e-4, min_agent_batch=32,
@@ -198,46 +236,46 @@ class TestConfigValidation:
             num_patches=4, num_blocks=3, num_heads=2, model_dim=12, feature_dim=10,
             use_positional=False,
         )
-        answer = dict(
-            sigma_llm=0.25, sigma_enhance=0.04, sigma_mislead=0.2, relevance_radius=0.6
-        )
-        delay = dict(edge_delay=0.65, cloud_delay=2.9, jitter_sigma=0.08)
-        settings = {**trainer, **encoder, **answer, **delay, "dim": 40}
+        settings = {**store, **env, **trainer, **encoder, "dim": 40, "seed": 11}
         defaults = ExperimentConfig()
         assert all(getattr(defaults, k) != v for k, v in settings.items())
         assert len({repr(v) for v in settings.values()}) == len(settings)
-        cfg = ExperimentConfig(**settings).validate()
-        renamed = dict(edge_query=0.65, cloud_llm=2.9, jitter_sigma=0.08)
-        for sub, expected in [
-            (cfg.trainer_config(), trainer),
-            (cfg.encoder_config(), {**encoder, "input_dim": 40}),
-            (cfg.answer_model(), answer),
-            (cfg.delay_model(), renamed),
-        ]:
-            assert {k: getattr(sub, k) for k in expected} == expected
-            unfed = {f.name for f in dataclasses.fields(sub)} - set(expected)
-            assert unfed <= {"policy_hidden", "value_hidden"}
+        assert set(settings) == {k for cls in BUILT for k in fed_fields(cls)}
+        made = []
+        for cls in BUILT:
+            init = cls.__init__
+
+            @functools.wraps(init)
+            def recorded(self, *args, _init=init, **kwargs):
+                _init(self, *args, **kwargs)
+                made.append(self)
+
+            monkeypatch.setattr(cls, "__init__", recorded)
+        # t-mappo builds every class in BUILT, and records no demos, whose
+        # deployment runs under a seed of its own.
+        run_experiment(tiny_cfg(policy="t-mappo", train_slots=4, **settings))
+        assert {type(obj) for obj in made} == set(BUILT)
+        # validate()'s one store, then the run's two.
+        assert sorted(o.server for o in made if type(o) is VectorStore) == [0, 0, 1]
+        for obj in made:
+            fed = fed_fields(type(obj))
+            assert {k: getattr(obj, k) for k in fed} == {k: settings[k] for k in fed}
+            if type(obj) is EncoderConfig:
+                assert obj.input_dim == settings["dim"]
 
     def test_each_default_equals_the_default_it_feeds(self):
         # A default declared in two places can drift apart unseen: runs read
         # the config's, and direct constructions the other.
         cfg = ExperimentConfig()
-        fields = {f.name for f in dataclasses.fields(cfg)}
-        field_of = dict(edge_query="edge_delay", cloud_llm="cloud_delay")
-        targets = [
-            simenv.DelayModel, simenv.AnswerModel, TrainerConfig, EncoderConfig,
-            simenv.EdgeEnv, VectorStore,
-        ]
-        for target in targets:
+        for target, explicit in BUILT.items():
+            params = inspect.signature(target).parameters
+            assert set(params) - explicit == fed_fields(target), target
             fed = {
-                field_of.get(name, name): param.default
-                for name, param in inspect.signature(target).parameters.items()
-                if param.default is not inspect.Parameter.empty
-                and field_of.get(name, name) in fields
+                name: params[name].default
+                for name in fed_fields(target)
+                if params[name].default is not inspect.Parameter.empty
             }
             assert fed, target
-            if target is simenv.DelayModel:
-                assert set(fed) == {"edge_delay", "cloud_delay", "jitter_sigma"}
             for field, default in fed.items():
                 assert getattr(cfg, field) == default, (target.__name__, field)
 
@@ -1055,6 +1093,26 @@ class TestCli:
             self.write_cfg(tmp_path, CLI_INI.replace("seed = 3", "seed = -1"))
         assert cli_main(argv) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("nlist = 32", "nlist = 0"),
+            ("paraphrase_sigma = 0.05", "paraphrase_sigma = -0.1"),
+            ("tau_serve = 0.15", "tau_serve = 0.15\nreward_scale = -1.0"),
+        ],
+        ids=["nlist", "paraphrase_sigma", "reward_scale"],
+    )
+    def test_bad_setting_exits_2_before_the_report_opens(
+        self, tmp_path, capsys, old, new
+    ):
+        demo = (Path(__file__).parents[1] / "demos" / "small.ini").read_text()
+        assert old in demo
+        out = tmp_path / "r.csv"
+        argv = ["--config", str(self.write_cfg(tmp_path, demo.replace(old, new)))]
+        assert cli_main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
 
     def test_percent_in_config_value(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -93,6 +93,14 @@ class TestFormulas:
         with pytest.raises(ConfigError):
             reward(-0.1, 1.0, 1.0, -0.2)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0])
+    def test_reward_scale_must_be_positive(self, scale):
+        # A zero scale flattens every reward and a negative one inverts it.
+        with pytest.raises(ConfigError, match="reward_scale must be strictly positive"):
+            reward(-0.1, 1.0, 1.0, 0.1, scale)
+        with pytest.raises(ConfigError, match="reward_scale must be strictly positive"):
+            make_env(reward_scale=scale)
+
 
 class TestModels:
     def test_delay_model_no_jitter_is_exact(self):
@@ -111,7 +119,7 @@ class TestModels:
 
     def test_model_validation(self):
         with pytest.raises(ConfigError):
-            DelayModel(edge_query=0.0)
+            DelayModel(edge_delay=0.0)
         with pytest.raises(ConfigError):
             DelayModel(jitter_sigma=-0.1)
         with pytest.raises(ConfigError):
@@ -418,8 +426,8 @@ class TestDeterminism:
         t = env.step(make_request(1, sphere_point(0.3), E[2], slot=1), CACHE)
         assert t.resolved == "C"
         rng = substream(7, DOMAIN_DELAY, 1, 0)
-        edge = env.delay_model.edge_query * float(rng.lognormal(0.0, 0.2))
-        assert t.d == edge + env.delay_model.cloud_llm * float(rng.lognormal(0.0, 0.2))
+        edge = env.delay_model.edge_delay * float(rng.lognormal(0.0, 0.2))
+        assert t.d == edge + env.delay_model.cloud_delay * float(rng.lognormal(0.0, 0.2))
 
 
 # -- the row path against the record path ------------------------------------
