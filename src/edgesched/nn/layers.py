@@ -3,6 +3,13 @@
 Every forward returns whatever the matching backward needs as an opaque
 cache.  All math is float64 so finite-difference gradient checks hold to
 tight tolerances.
+
+Every forward and backward returns arrays it allocated itself, never a
+view of an input or of a cache entry, and never writes a cache after
+returning.  So a caller may write a returned array in place (the encoder's
+residual adds do), and the kernels do their elementwise work in place on
+their own fresh arrays: each keeps the operation order of the plain
+formula, so the results are the same float64 bits.
 """
 
 from __future__ import annotations
@@ -25,7 +32,9 @@ def dense_params(
 
 
 def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return x @ w + b
+    y = x @ w
+    y += b
+    return y
 
 
 def dense_backward(
@@ -45,20 +54,32 @@ def tanh_forward(x: np.ndarray) -> np.ndarray:
 
 
 def tanh_backward(dy: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return dy * (1.0 - y * y)
+    out = y * y
+    np.subtract(1.0, out, out=out)
+    out *= dy
+    return out
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
     """Row-stable softmax over the last axis."""
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    # A running maximum over the last axis' slices: exact in any order, and
+    # far cheaper than ``z.max(axis=-1)`` over a handful of tokens.
+    top = z[..., :1].copy()
+    for j in range(1, z.shape[-1]):
+        np.maximum(top, z[..., j : j + 1], out=top)
+    e = z - top
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax_backward(dp: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Backward through softmax given dL/dp and the probabilities p."""
-    inner = (dp * p).sum(axis=-1, keepdims=True)
-    return p * (dp - inner)
+    out = dp * p
+    inner = out.sum(axis=-1, keepdims=True)
+    np.subtract(dp, inner, out=out)
+    out *= p
+    return out
 
 
 def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
@@ -92,9 +113,13 @@ def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     return x.reshape(b, t, heads, d // heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    b, h, t, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
+def _merged_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` over (batch, heads, tokens, ·) operands, written straight
+    into the merged (batch, tokens, heads · cols) layout."""
+    bsz, heads, tokens, _ = a.shape
+    out = np.empty((bsz, tokens, heads * b.shape[-1]))
+    np.matmul(a, b, out=out.reshape(bsz, tokens, heads, -1).transpose(0, 2, 1, 3))
+    return out
 
 
 def attention_forward(
@@ -107,9 +132,10 @@ def attention_forward(
     v = dense_forward(x, p[f"{prefix}.wv"], p[f"{prefix}.vb"])
     qh, kh, vh = (_split_heads(a, heads) for a in (q, k, v))
     scale = 1.0 / np.sqrt(qh.shape[-1])
-    scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
+    scores = qh @ kh.transpose(0, 1, 3, 2)
+    scores *= scale
     probs = softmax(scores)
-    ctx = _merge_heads(probs @ vh)
+    ctx = _merged_matmul(probs, vh)
     out = dense_forward(ctx, p[f"{prefix}.wo"], p[f"{prefix}.ob"])
     cache = {
         "x": x,
@@ -136,13 +162,13 @@ def attention_backward(
     dctx, dwo, dob = dense_backward(dout, ctx, p[f"{prefix}.wo"])
     dctx_h = _split_heads(dctx, heads)
     dprobs = dctx_h @ vh.transpose(0, 1, 3, 2)
-    dvh = probs.transpose(0, 1, 3, 2) @ dctx_h
-    dscores = softmax_backward(dprobs, probs) * scale
-    dqh = dscores @ kh
-    dkh = dscores.transpose(0, 1, 3, 2) @ qh
+    dv = _merged_matmul(probs.transpose(0, 1, 3, 2), dctx_h)
+    dscores = softmax_backward(dprobs, probs)
+    dscores *= scale
+    dq = _merged_matmul(dscores, kh)
+    dk = _merged_matmul(dscores.transpose(0, 1, 3, 2), qh)
 
-    dq, dk, dv = (_merge_heads(a) for a in (dqh, dkh, dvh))
-    dx_q, dwq, dqb = dense_backward(dq, x, p[f"{prefix}.wq"])
+    dx, dwq, dqb = dense_backward(dq, x, p[f"{prefix}.wq"])
     dx_k, dwk, dkb = dense_backward(dk, x, p[f"{prefix}.wk"])
     dx_v, dwv, dvb = dense_backward(dv, x, p[f"{prefix}.wv"])
     grads = {
@@ -155,4 +181,6 @@ def attention_backward(
         f"{prefix}.wv": dwv,
         f"{prefix}.vb": dvb,
     }
-    return dx_q + dx_k + dx_v, grads
+    dx += dx_k
+    dx += dx_v
+    return dx, grads

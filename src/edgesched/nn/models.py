@@ -43,6 +43,10 @@ class EncoderConfig:
             )
         if self.num_blocks < 0:
             raise ConfigError("num_blocks must be >= 0")
+        if self.use_positional and self.model_dim % 2:
+            raise ConfigError(
+                f"model_dim {self.model_dim} must be even for sinusoidal positions"
+            )
 
     @property
     def patch_size(self) -> int:
@@ -56,7 +60,11 @@ class FeatureEncoder:
 
     def __init__(self, cfg: EncoderConfig):
         self.cfg = cfg
-        self.positions = layers.sinusoidal_positions(cfg.num_patches, cfg.model_dim)
+        self.positions = (
+            layers.sinusoidal_positions(cfg.num_patches, cfg.model_dim)
+            if cfg.use_positional
+            else None
+        )
 
     def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
         cfg, pre = self.cfg, self.prefix
@@ -77,12 +85,13 @@ class FeatureEncoder:
         patches = x.reshape(x.shape[0], cfg.num_patches, cfg.patch_size)
         h = layers.dense_forward(patches, params[f"{pre}.embed.w"], params[f"{pre}.embed.b"])
         if cfg.use_positional:
-            h = h + self.positions[None, :, :]
+            h += self.positions
         embedded = h
         blocks = []
         for i in range(cfg.num_blocks):
             a, cache = layers.attention_forward(h, params, cfg.num_heads, f"{pre}.block{i}")
-            h = h + a  # residual
+            a += h  # residual, into the block's own output: h is cached
+            h = a
             blocks.append(cache)
         pooled = h.mean(axis=1)
         feats = layers.dense_forward(pooled, params[f"{pre}.out.w"], params[f"{pre}.out.b"])
@@ -99,13 +108,14 @@ class FeatureEncoder:
         )
         grads[f"{pre}.out.w"] = dw
         grads[f"{pre}.out.b"] = db
-        dh = np.repeat(dpooled[:, None, :], cfg.num_patches, axis=1) / cfg.num_patches
+        dh = np.repeat(dpooled[:, None, :], cfg.num_patches, axis=1)
+        dh /= cfg.num_patches
         for i in reversed(range(cfg.num_blocks)):
             dx_attn, attn_grads = layers.attention_backward(
                 dh, cache["blocks"][i], params, f"{pre}.block{i}"
             )
             grads.update(attn_grads)
-            dh = dh + dx_attn  # residual: gradient flows through both branches
+            dh += dx_attn  # residual: gradient flows through both branches
         dpatches, dw, db = layers.dense_backward(
             dh, cache["patches"], params[f"{pre}.embed.w"]
         )

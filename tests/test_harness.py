@@ -1114,6 +1114,20 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
 
+    def test_odd_positional_model_dim_exits_2_before_the_report_opens(
+        self, tmp_path, capsys
+    ):
+        demo = (Path(__file__).parents[1] / "demos" / "small.ini").read_text()
+        text = demo.replace("num_heads = 4\nmodel_dim = 32", "num_heads = 3\nmodel_dim = 9")
+        assert text != demo
+        out = tmp_path / "r.csv"
+        argv = ["--config", str(self.write_cfg(tmp_path, text)), "--policy", "lrs"]
+        assert cli_main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "model_dim 9" in err
+        assert not out.exists()
+
     def test_percent_in_config_value(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         text = CLI_INI.replace("dim = 16", "dim = 16\ntransitions_out = run_100%.jsonl")

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,9 +20,11 @@ from edgesched.nn.layers import (
     attention_backward,
     attention_forward,
     attention_params,
+    dense_forward,
     sinusoidal_positions,
     softmax,
     softmax_backward,
+    tanh_backward,
 )
 
 GRAD_TOL = 1e-7  # float64 central differences are far tighter than this
@@ -172,6 +176,9 @@ class TestEncoder:
             self.small_cfg(model_dim=7)  # not divisible across 2 heads
         with pytest.raises(ConfigError):
             self.small_cfg(num_blocks=-1)
+        with pytest.raises(ConfigError, match="model_dim"):
+            self.small_cfg(num_heads=3, model_dim=9)  # odd: no sin/cos pairs
+        FeatureEncoder(self.small_cfg(num_heads=3, model_dim=9, use_positional=False))
 
     def test_bad_input_shape(self):
         enc = FeatureEncoder(self.small_cfg())
@@ -250,6 +257,231 @@ class TestHeads:
         _, grads = net.backward(params, cache, 2.0 * (v - returns) / 4)
         fd = finite_difference_grads(loss, params)
         assert gradient_relative_error(grads, fd) < GRAD_TOL
+
+
+# -- the plain formulas the in-place kernels must reproduce bit for bit -------
+
+
+def ref_dense_forward(x, w, b):
+    return x @ w + b
+
+
+def ref_tanh_backward(dy, y):
+    return dy * (1.0 - y * y)
+
+
+def ref_softmax(z):
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def ref_softmax_backward(dp, p):
+    inner = (dp * p).sum(axis=-1, keepdims=True)
+    return p * (dp - inner)
+
+
+def ref_dense_backward(dy, x, w):
+    x2 = x.reshape(-1, x.shape[-1])
+    dy2 = dy.reshape(-1, dy.shape[-1])
+    return dy @ w.T, x2.T @ dy2, dy2.sum(axis=0)
+
+
+def _split(x, heads):
+    b, t, d = x.shape
+    return x.reshape(b, t, heads, d // heads).transpose(0, 2, 1, 3)
+
+
+def _merge(x):
+    b, h, t, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
+
+
+def ref_attention_forward(x, p, heads, pre):
+    q = ref_dense_forward(x, p[f"{pre}.wq"], p[f"{pre}.qb"])
+    k = ref_dense_forward(x, p[f"{pre}.wk"], p[f"{pre}.kb"])
+    v = ref_dense_forward(x, p[f"{pre}.wv"], p[f"{pre}.vb"])
+    qh, kh, vh = (_split(a, heads) for a in (q, k, v))
+    scale = 1.0 / np.sqrt(qh.shape[-1])
+    probs = ref_softmax((qh @ kh.transpose(0, 1, 3, 2)) * scale)
+    ctx = _merge(probs @ vh)
+    out = ref_dense_forward(ctx, p[f"{pre}.wo"], p[f"{pre}.ob"])
+    cache = {"x": x, "qh": qh, "kh": kh, "vh": vh, "probs": probs, "ctx": ctx,
+             "scale": scale, "heads": heads}
+    return out, cache
+
+
+def ref_attention_backward(dout, c, p, pre):
+    dctx, dwo, dob = ref_dense_backward(dout, c["ctx"], p[f"{pre}.wo"])
+    dctx_h = _split(dctx, c["heads"])
+    dprobs = dctx_h @ c["vh"].transpose(0, 1, 3, 2)
+    dvh = c["probs"].transpose(0, 1, 3, 2) @ dctx_h
+    dscores = ref_softmax_backward(dprobs, c["probs"]) * c["scale"]
+    dqh = dscores @ c["kh"]
+    dkh = dscores.transpose(0, 1, 3, 2) @ c["qh"]
+    dq, dk, dv = (_merge(a) for a in (dqh, dkh, dvh))
+    dx_q, dwq, dqb = ref_dense_backward(dq, c["x"], p[f"{pre}.wq"])
+    dx_k, dwk, dkb = ref_dense_backward(dk, c["x"], p[f"{pre}.wk"])
+    dx_v, dwv, dvb = ref_dense_backward(dv, c["x"], p[f"{pre}.wv"])
+    grads = {f"{pre}.wo": dwo, f"{pre}.ob": dob, f"{pre}.wq": dwq, f"{pre}.qb": dqb,
+             f"{pre}.wk": dwk, f"{pre}.kb": dkb, f"{pre}.wv": dwv, f"{pre}.vb": dvb}
+    return dx_q + dx_k + dx_v, grads
+
+
+def ref_encoder_forward(enc, p, x):
+    cfg, pre = enc.cfg, enc.prefix
+    patches = x.reshape(x.shape[0], cfg.num_patches, cfg.patch_size)
+    h = ref_dense_forward(patches, p[f"{pre}.embed.w"], p[f"{pre}.embed.b"])
+    if cfg.use_positional:
+        h = h + enc.positions[None, :, :]
+    embedded = h
+    blocks = []
+    for i in range(cfg.num_blocks):
+        a, cache = ref_attention_forward(h, p, cfg.num_heads, f"{pre}.block{i}")
+        h = h + a
+        blocks.append(cache)
+    pooled = h.mean(axis=1)
+    feats = ref_dense_forward(pooled, p[f"{pre}.out.w"], p[f"{pre}.out.b"])
+    return feats, {"patches": patches, "embedded": embedded, "blocks": blocks,
+                   "pooled": pooled}
+
+
+def ref_encoder_backward(enc, p, cache, dfeats):
+    cfg, pre = enc.cfg, enc.prefix
+    dpooled, dw, db = ref_dense_backward(dfeats, cache["pooled"], p[f"{pre}.out.w"])
+    grads = {f"{pre}.out.w": dw, f"{pre}.out.b": db}
+    dh = np.repeat(dpooled[:, None, :], cfg.num_patches, axis=1) / cfg.num_patches
+    for i in reversed(range(cfg.num_blocks)):
+        dx_attn, attn_grads = ref_attention_backward(
+            dh, cache["blocks"][i], p, f"{pre}.block{i}"
+        )
+        grads.update(attn_grads)
+        dh = dh + dx_attn
+    dpatches, dw, db = ref_dense_backward(dh, cache["patches"], p[f"{pre}.embed.w"])
+    grads[f"{pre}.embed.w"] = dw
+    grads[f"{pre}.embed.b"] = db
+    return dpatches.reshape(dpatches.shape[0], cfg.input_dim), grads
+
+
+def assert_bits_equal(got, want):
+    """Same structure, and every array the same shape and float64 bits."""
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want)
+        for key in want:
+            assert_bits_equal(got[key], want[key])
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_bits_equal(g, w)
+    elif isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    else:
+        assert got == want
+
+
+_TOKENS = st.sampled_from([1, 2, 7, 8, 9])
+_HEADS = st.sampled_from([1, 2, 4])
+# Two or more columns per head.  With one, the plain formula's head merge is
+# a strided view rather than a copy, so a bias gradient sums its rows in
+# another order and only the last bits differ.
+_HEAD_DIM = st.integers(2, 5)
+
+
+class TestKernelsMatchPlainFormulas:
+    """The in-place kernels give the plain formulas' float64 bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=st.integers(1, 70),
+        tokens=_TOKENS,
+        width=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_elementwise_kernels(self, batch, tokens, width, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(batch, tokens, width))
+        w = rng.normal(size=(width, 5))
+        b = rng.normal(size=5)
+        assert_bits_equal(dense_forward(x, w, b), ref_dense_forward(x, w, b))
+        z = rng.normal(scale=10.0, size=(batch, 3, tokens))
+        p = softmax(z)
+        assert_bits_equal(p, ref_softmax(z))
+        dp = rng.normal(size=z.shape)
+        assert_bits_equal(softmax_backward(dp, p), ref_softmax_backward(dp, p))
+        y = np.tanh(x)
+        assert_bits_equal(tanh_backward(x, y), ref_tanh_backward(x, y))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=st.integers(1, 70),
+        tokens=_TOKENS,
+        heads=_HEADS,
+        head_dim=_HEAD_DIM,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_attention(self, batch, tokens, heads, head_dim, seed):
+        rng = np.random.default_rng(seed)
+        dim = heads * head_dim
+        params = {
+            k: v + rng.normal(scale=0.3, size=v.shape)
+            for k, v in attention_params(rng, dim, "att").items()
+        }
+        x = rng.normal(size=(batch, tokens, dim))
+        y, cache = attention_forward(x, params, heads, "att")
+        want_y, want_cache = ref_attention_forward(x, params, heads, "att")
+        assert_bits_equal(y, want_y)
+        assert_bits_equal(cache, want_cache)
+        kept = copy.deepcopy(cache)
+        y += 1.0  # the encoder's residual writes into a block's output
+        assert_bits_equal(cache, kept)
+        dout = rng.normal(size=x.shape)
+        dx, grads = attention_backward(dout, cache, params, "att")
+        want_dx, want_grads = ref_attention_backward(dout, want_cache, params, "att")
+        assert_bits_equal(dx, want_dx)
+        assert_bits_equal(grads, want_grads)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=st.integers(1, 70),
+        tokens=_TOKENS,
+        heads=_HEADS,
+        head_dim=_HEAD_DIM,
+        patch=st.integers(1, 3),
+        blocks=st.integers(0, 2),
+        positional=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_encoder(self, batch, tokens, heads, head_dim, patch, blocks, positional, seed):
+        rng = np.random.default_rng(seed)
+        dim = heads * head_dim
+        enc = FeatureEncoder(EncoderConfig(
+            input_dim=tokens * patch,
+            num_patches=tokens,
+            num_blocks=blocks,
+            num_heads=heads,
+            model_dim=dim,
+            feature_dim=3,
+            use_positional=positional and dim % 2 == 0,
+        ))
+        params = {
+            k: v + rng.normal(scale=0.3, size=v.shape)
+            for k, v in enc.init_params(rng).items()
+        }
+        x = rng.normal(size=(batch, tokens * patch))
+        feats, cache = enc.forward(params, x)
+        want_feats, want_cache = ref_encoder_forward(enc, params, x)
+        assert_bits_equal(feats, want_feats)
+        assert_bits_equal(cache, want_cache)
+        kept = copy.deepcopy(cache)
+        feats += 1.0
+        assert_bits_equal(cache, kept)
+        dfeats = rng.normal(size=feats.shape)
+        dx, grads = enc.backward(params, cache, dfeats)
+        want_dx, want_grads = ref_encoder_backward(enc, params, want_cache, dfeats)
+        assert_bits_equal(dx, want_dx)
+        assert_bits_equal(grads, want_grads)
+        assert_bits_equal(cache, kept)  # backward reads its cache only
 
 
 class TestParamSet:
