@@ -409,8 +409,8 @@ class _Deployment:
                         choices.append(choice)
                         probs.append(prob)
                 if mode == "broadcast":
-                    served = [env.broadcast_step(group[0][1], choices, corrsets, probs)]
-                    outcomes = env.last_broadcast
+                    won, outcomes = env.broadcast_step(group[0][1], choices, corrsets, probs)
+                    served = [won]
                 else:
                     outcomes = served = [
                         env.step(req, choices[i], corrsets[i], float(probs[i]))

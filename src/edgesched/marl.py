@@ -182,20 +182,21 @@ class ExperienceBuffer:
         probs: np.ndarray,
         rewards: np.ndarray,
     ) -> None:
-        if corr.shape[0] != self.n_agents:
-            raise ConfigError(
-                f"expected one observation per agent ({self.n_agents}), "
-                f"got {corr.shape[0]}"
-            )
-        self._pending.append(
-            (
-                np.array(corr, dtype=float),
-                np.array(question, dtype=float),
-                np.array(actions, dtype=int),
-                np.array(probs, dtype=float),
-                np.array(rewards, dtype=float),
-            )
+        row = (
+            np.array(corr, dtype=float),
+            np.array(question, dtype=float),
+            np.array(actions, dtype=int),
+            np.array(probs, dtype=float),
+            np.array(rewards, dtype=float),
         )
+        names = ("corr", "question", "actions", "probs", "rewards")
+        for name, x, ndim in zip(names, row, (2, 2, 1, 1, 1)):
+            if x.ndim != ndim or x.shape[0] != self.n_agents:
+                raise ConfigError(
+                    f"expected one {name} entry per agent ({self.n_agents}), "
+                    f"got shape {x.shape}"
+                )
+        self._pending.append(row)
 
     def begin_slot(self, corr: np.ndarray, question: np.ndarray) -> Segment | None:
         """Hand off the pending run once it holds ``segment_len`` slots, with
@@ -495,6 +496,14 @@ class Trainer:
         self.n_agents = n_agents
         self.seed = seed
         self.demos = demos
+        for i, seg in enumerate(demos.segments if demos is not None else ()):
+            for name, dim in (("corr", corr_dim), ("question", question_dim)):
+                shape = getattr(seg, name).shape
+                if shape[1:] != (n_agents, dim):
+                    raise ConfigError(
+                        f"demo segment {i}: {name} shape {shape} != "
+                        f"(steps, {n_agents}, {dim})"
+                    )
         feature_dim = encoder_cfg.feature_dim if encoder_cfg else question_dim
         self.state_dim = corr_dim + feature_dim
         encoder = FeatureEncoder(encoder_cfg) if encoder_cfg else None

@@ -203,7 +203,6 @@ class PolicyNet:
 
     def __init__(self, in_dim: int, hidden: tuple[int, ...] = (128, 128)):
         self.mlp = MlpNet(in_dim, hidden, 2, prefix="pi", zero_final=True)
-        self.in_dim = in_dim
 
     def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
         return self.mlp.init_params(rng)
@@ -224,7 +223,6 @@ class ValueNet:
 
     def __init__(self, in_dim: int, hidden: tuple[int, ...] = (128, 128)):
         self.mlp = MlpNet(in_dim, hidden, 1, prefix="vf", zero_final=True)
-        self.in_dim = in_dim
 
     def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
         return self.mlp.init_params(rng)

@@ -34,16 +34,8 @@ class ParamSet:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
 
-    def size(self) -> int:
-        """Total scalar parameter count."""
-        return sum(t.size for t in self.tensors.values())
-
     def copy(self) -> "ParamSet":
         return ParamSet({k: v.copy() for k, v in self.tensors.items()})
-
-    def flat(self) -> np.ndarray:
-        """All entries concatenated in sorted-name order."""
-        return np.concatenate([self.tensors[k].ravel() for k in self.names()])
 
 
 class Adam:
@@ -81,20 +73,9 @@ class Adam:
                 self._m[name] = np.zeros_like(g)
                 self._v[name] = np.zeros_like(g)
             m, v = self._m[name], self._v[name]
-            # The formula's operation order, with one scratch array beside the step:
-            # m = b1·m + (1−b1)·g;  v = b2·v + (1−b2)·g·g;
-            # step = lr·(m / bias1) / (sqrt(v / bias2) + eps).
-            scratch = np.multiply(1.0 - b1, g, out=np.empty_like(g))
             m *= b1
-            m += scratch
-            np.multiply(1.0 - b2, g, out=scratch)
-            scratch *= g
+            m += (1.0 - b1) * g
             v *= b2
-            v += scratch
-            step = m / bias1
-            step *= self.lr
-            np.divide(v, bias2, out=scratch)
-            np.sqrt(scratch, out=scratch)
-            scratch += EPS
-            step /= scratch
+            v += (1.0 - b2) * g * g
+            step = self.lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)
             params.tensors[name] -= step

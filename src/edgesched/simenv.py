@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigError
 from .seeding import DOMAIN_ANSWER, DOMAIN_DELAY, KeyedStreams
 from .seeding import substream  # noqa: F401  (bench/tracer.py wraps this binding)
-from .vecstore import CorrelationSet, RecordKind, VectorStore, best_hit, clamp_negative
+from .vecstore import CorrelationSet, RecordKind, VectorStore, best_hit
 from .vecstore import filter_best  # noqa: F401  (bench/tracer.py wraps this binding)
 from .workload import Request, random_unit
 
@@ -156,10 +156,11 @@ class EdgeEnv:
     """The multi-server serving loop: resolves actions, scores, and mutates stores.
 
     Protocol per slot: call :meth:`begin_slot` once (runs the periodic cache
-    eviction sweep), then query correlations and call :meth:`step` (or
-    :meth:`broadcast_step`) for each request.  Random draws are keyed by
-    (request id, server), so a given request sees identical noise regardless
-    of scheduling mode or processing order.
+    eviction sweep over every store), then query correlations and call
+    :meth:`step` for each request, or :meth:`broadcast_step`, which steps a
+    request at every server and returns the served transition with all of
+    them.  Random draws are keyed by (request id, server), so a given request
+    sees identical noise regardless of scheduling mode or processing order.
     """
 
     def __init__(
@@ -201,10 +202,9 @@ class EdgeEnv:
         self.seed = seed
         self._delay_streams = KeyedStreams(seed, DOMAIN_DELAY, len(self.stores))
         self._answer_streams = KeyedStreams(seed, DOMAIN_ANSWER, len(self.stores))
-        self.last_broadcast: list[Transition] = []
         self.fallback_count = 0
         self.action_counts = {"A": 0, "B": 0, "C": 0}
-        self._last_evict = [-1] * len(self.stores)
+        self._last_evict = -1  # the slot of the last sweep
 
     @property
     def num_servers(self) -> int:
@@ -217,15 +217,13 @@ class EdgeEnv:
 
     def begin_slot(self, slot: int) -> None:
         """Run slot-boundary maintenance: the periodic eviction sweep."""
-        if self.evict_period and slot % self.evict_period == 0:
-            for n, store in enumerate(self.stores):
-                if self._last_evict[n] != slot:
-                    self._last_evict[n] = slot
-                    dropped = store.evict(slot)
-                    if dropped:
-                        log.debug(
-                            "slot %d server %d: evicted %d records", slot, n, dropped
-                        )
+        if not self.evict_period or slot % self.evict_period or slot == self._last_evict:
+            return
+        self._last_evict = slot
+        for n, store in enumerate(self.stores):
+            dropped = store.evict(slot)
+            if dropped:
+                log.debug("slot %d server %d: evicted %d records", slot, n, dropped)
 
     def correlations(self, server: int, question_vec: np.ndarray) -> CorrelationSet:
         """Retrieve the correlation set a scheduler should decide from."""
@@ -296,7 +294,7 @@ class EdgeEnv:
         )
         delay_rng = self._delay_streams(request.id, n)
         if resolved == "A":
-            answer_vec = answer.copy()
+            answer_vec = answer
             d = self.delay_model.sample_edge(delay_rng)
         else:
             # Only cloud answers draw noise, so only they build the answer stream.
@@ -323,9 +321,7 @@ class EdgeEnv:
         if resolved != "B":
             store.refresh(row, q, d)
         if resolved != "A":
-            store.insert_qa(
-                request.question_vec, answer_vec, request.slot, clamp_negative(q - d)
-            )
+            store.insert_qa(request.question_vec, answer_vec, request.slot, q - d)
         transition = Transition(
             slot=request.slot,
             server=n,
@@ -351,12 +347,14 @@ class EdgeEnv:
         actions: Sequence[ActionChoice],
         correlations: Sequence[CorrelationSet] | None = None,
         action_probs: Sequence[float] | None = None,
-    ) -> Transition:
+    ) -> tuple[Transition, list[Transition]]:
         """Serve one request at every server; the fastest answer wins.
 
-        All servers process the request and mutate their stores; the returned
-        transition is the one whose delay is smallest (ties to the lowest
-        server index) and is what the user actually experiences.
+        All servers process the request and mutate their stores.  Returns
+        ``(served, outcomes)``: ``outcomes`` holds every server's transition
+        in server order, and ``served`` is the one whose delay is smallest
+        (ties to the lowest server index), what the user actually
+        experiences.
         """
         if len(actions) != self.num_servers:
             raise ConfigError(
@@ -366,8 +364,5 @@ class EdgeEnv:
         for n in range(self.num_servers):
             corr = correlations[n] if correlations is not None else None
             prob = action_probs[n] if action_probs is not None else 1.0
-            outcomes.append(
-                self.step(request, actions[n], corr, prob, server=n)
-            )
-        self.last_broadcast = outcomes
-        return min(outcomes, key=lambda t: (t.d, t.server))
+            outcomes.append(self.step(request, actions[n], corr, prob, server=n))
+        return min(outcomes, key=lambda t: (t.d, t.server)), outcomes

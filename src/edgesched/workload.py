@@ -205,11 +205,6 @@ class WorkloadGenerator:
             topics.num_topics, num_servers, num_users, repeat_ratio, paraphrase_sigma
         )
         self.topics = topics
-        self.num_servers = num_servers
-        self.num_users = num_users
-        self.repeat_ratio = repeat_ratio
-        self.paraphrase_sigma = paraphrase_sigma
-        self.seed = seed
         # Round-robin partitions keep each server's topic population disjoint.
         self._samplers = [
             _ServerSampler(

@@ -76,6 +76,11 @@ def feed_slots(trainer, rng, slots, T_corr=3, T_q=4):
         )
 
 
+def flat(params):
+    """Every tensor of a parameter set, concatenated in sorted-name order."""
+    return np.concatenate([params[k].ravel() for k in params.names()])
+
+
 def entry_set(*hits):
     """A hand-built correlation set of (distance, kind code, freq) hits."""
     return CorrelationSet([
@@ -249,6 +254,26 @@ class TestBuffer:
                 np.zeros((3, 3)), np.zeros((3, 4)), np.zeros(3, dtype=int),
                 np.full(3, 0.5), np.zeros(3),
             )
+
+    @pytest.mark.parametrize("field", ["question", "actions", "probs", "rewards"])
+    @pytest.mark.parametrize("misfit", ["extra_agent", "column"])
+    def test_every_field_needs_one_entry_per_agent(self, field, misfit):
+        buf = ExperienceBuffer(2, 1)
+        slot = {
+            "corr": np.zeros((2, 3)),
+            "question": np.zeros((2, 4)),
+            "actions": np.zeros(2, dtype=int),
+            "probs": np.full(2, 0.5),
+            "rewards": np.zeros(2),
+        }
+        x = slot[field]
+        if misfit == "extra_agent":
+            slot[field] = np.concatenate([x, x[:1]])
+        else:  # one more axis: (2, 1) entries, or (2, 4, 1) for a question
+            slot[field] = x[..., None] if x.ndim == 1 else x[..., None, :]
+        with pytest.raises(ConfigError, match=f"one {field} entry per agent"):
+            buf.record_slot(**slot)
+        assert buf.pending_steps == 0
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -496,11 +521,18 @@ class TestTrainer:
         feed_slots(trainer, rng, 5)
         trainer.buffer.hand_off(rng.normal(size=(2, 3)), rng.normal(size=(2, 4)))
         assert trainer.train_update().status == "updated"
-        assert not np.array_equal(trainer.policy_params.flat(), snap.params.flat())
+        assert not np.array_equal(flat(trainer.policy_params), flat(snap.params))
         assert snap.params.names() == sorted(frozen)
         for name, tensor in frozen.items():
             assert np.array_equal(snap.params[name], tensor)
         assert np.array_equal(snap.action_probs(corr, q), probs)
+
+    @pytest.mark.parametrize("shape", [{"N": 3}, {"corr_dim": 5}, {"question_dim": 6}])
+    def test_demo_segment_of_another_shape_rejected(self, shape):
+        rng = np.random.default_rng(6)
+        demos = DemoSet([random_segment(rng), random_segment(rng, **shape)])
+        with pytest.raises(ConfigError, match="demo segment 1"):
+            make_trainer(demos=demos)
 
     def test_demo_quota_anneals_and_ceases(self):
         rng = np.random.default_rng(2)
@@ -540,7 +572,7 @@ class TestTrainer:
             feed_slots(trainer, rng, 5)
             trainer.buffer.hand_off(np.zeros((2, 3)), np.zeros((2, 4)))
             trainer.train_update()
-            outs.append(trainer.policy_params.flat())
+            outs.append(flat(trainer.policy_params))
         assert np.array_equal(outs[0], outs[1])
 
 

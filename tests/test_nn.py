@@ -485,11 +485,6 @@ class TestKernelsMatchPlainFormulas:
 
 
 class TestParamSet:
-    def test_flat_uses_sorted_names(self):
-        ps = ParamSet({"b": np.array([3.0]), "a": np.array([1.0, 2.0])})
-        assert np.array_equal(ps.flat(), [1.0, 2.0, 3.0])
-        assert ps.size() == 3
-
     def test_copy_is_independent(self):
         ps = ParamSet({"a": np.array([1.0])})
         cp = ps.copy()

@@ -344,12 +344,13 @@ class TestBroadcast:
         prime = make_request(0, E[0], E[2], server=1)
         env.step(prime, CLOUD, server=1)
         req = make_request(1, E[0], E[2], slot=1)
-        t = env.broadcast_step(req, [CLOUD, CACHE, CLOUD])
+        t, outcomes = env.broadcast_step(req, [CLOUD, CACHE, CLOUD])
         assert t.server == 1
         assert t.resolved == "A"
         assert t.d == 0.81
-        assert len(env.last_broadcast) == 3
-        assert [x.server for x in env.last_broadcast] == [0, 1, 2]
+        assert len(outcomes) == 3
+        assert [x.server for x in outcomes] == [0, 1, 2]
+        assert t is outcomes[1]
 
     def test_all_servers_mutate_their_stores(self):
         env = make_env(n_servers=3)
@@ -360,7 +361,7 @@ class TestBroadcast:
     def test_delay_ties_break_by_server_index(self):
         env = make_env(n_servers=3)
         req = make_request(0, E[0], E[2])
-        t = env.broadcast_step(req, [CLOUD, CLOUD, CLOUD])
+        t, _ = env.broadcast_step(req, [CLOUD, CLOUD, CLOUD])
         assert t.server == 0
         assert t.d == 3.34
 
@@ -372,8 +373,8 @@ class TestBroadcast:
     def test_winner_is_min_delay(self):
         env = make_env(n_servers=3, jitter=0.3, seed=7)
         req = make_request(0, E[0], E[2])
-        t = env.broadcast_step(req, [CLOUD, CLOUD, CLOUD])
-        assert t.d == min(x.d for x in env.last_broadcast)
+        t, outcomes = env.broadcast_step(req, [CLOUD, CLOUD, CLOUD])
+        assert t.d == min(x.d for x in outcomes)
 
 
 class TestDeterminism:
@@ -404,11 +405,11 @@ class TestDeterminism:
         env_b = make_env(n_servers=3, seed=5, jitter=0.2)
         req = make_request(7, E[0], E[2])
         t_near = env_a.step(req, CLOUD)  # server 0, request.server default
-        t_cast = env_b.broadcast_step(req, [CLOUD, CLOUD, CLOUD])
-        b0 = env_b.last_broadcast[0]
+        _, outcomes = env_b.broadcast_step(req, [CLOUD, CLOUD, CLOUD])
+        b0 = outcomes[0]
         assert (t_near.q, t_near.d) == (b0.q, b0.d)
         # other servers draw different, but deterministic, noise
-        assert env_b.last_broadcast[1].d != b0.d
+        assert outcomes[1].d != b0.d
 
     def test_ids_out_of_order_draw_as_a_fresh_env(self):
         # ids 300 and 5 lie in different blocks of the env's noise tables
@@ -592,8 +593,7 @@ class TestRowPathMatchesRecordPath:
                     )
                     for env in envs
                 ]
-                assert got[0] == got[1]
-                assert envs[0].last_broadcast == envs[1].last_broadcast
+                assert got[0] == got[1]  # the served transition and every outcome
             elif kind == "evict":
                 for env in envs:
                     env.evict_period = 1
