@@ -208,7 +208,10 @@ def load_config(path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     cfg = ExperimentConfig()
-    for section in parser.sections():
+    sections = parser.sections()
+    if parser.defaults():  # configparser copies them into every section
+        sections.insert(0, "DEFAULT")
+    for section in sections:
         if section not in _SECTIONS:
             raise ConfigError(
                 f"{path}: unknown section [{section}]; known: {sorted(_SECTIONS)}"

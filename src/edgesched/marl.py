@@ -196,7 +196,17 @@ class ExperienceBuffer:
                     f"expected one {name} entry per agent ({self.n_agents}), "
                     f"got shape {x.shape}"
                 )
+        if self._pending:
+            self._match_staged(names, row)
         self._pending.append(row)
+
+    def _match_staged(self, names, arrays) -> None:
+        """Raise unless ``arrays`` have the shapes of the first staged slot's."""
+        for name, x, staged in zip(names, arrays, self._pending[0]):
+            if x.shape != staged.shape:
+                raise ConfigError(
+                    f"{name} shape {x.shape} != {staged.shape} of the staged slots"
+                )
 
     def begin_slot(self, corr: np.ndarray, question: np.ndarray) -> Segment | None:
         """Hand off the pending run once it holds ``segment_len`` slots, with
@@ -211,6 +221,8 @@ class ExperienceBuffer:
         """Close the pending run into a segment; no-op when nothing is staged."""
         if not self._pending:
             return None
+        final = np.array(final_corr, dtype=float), np.array(final_question, dtype=float)
+        self._match_staged(("final_corr", "final_question"), final)
         corr, question, actions, probs, rewards = (
             np.stack(x) for x in zip(*self._pending)
         )
@@ -220,8 +232,8 @@ class ExperienceBuffer:
             actions=actions,
             probs=probs,
             rewards=rewards,
-            final_corr=np.array(final_corr, dtype=float),
-            final_question=np.array(final_question, dtype=float),
+            final_corr=final[0],
+            final_question=final[1],
         )
         self.segments.append(seg)
         self._pending = []
@@ -497,12 +509,15 @@ class Trainer:
         self.seed = seed
         self.demos = demos
         for i, seg in enumerate(demos.segments if demos is not None else ()):
+            want = {f: (seg.steps, n_agents) for f in ("actions", "probs", "rewards")}
             for name, dim in (("corr", corr_dim), ("question", question_dim)):
-                shape = getattr(seg, name).shape
-                if shape[1:] != (n_agents, dim):
+                want[name] = (seg.steps, n_agents, dim)
+                want[f"final_{name}"] = (n_agents, dim)
+            for field, shape in want.items():
+                if getattr(seg, field).shape != shape:
                     raise ConfigError(
-                        f"demo segment {i}: {name} shape {shape} != "
-                        f"(steps, {n_agents}, {dim})"
+                        f"demo segment {i}: {field} shape "
+                        f"{getattr(seg, field).shape} != {shape}"
                     )
         feature_dim = encoder_cfg.feature_dim if encoder_cfg else question_dim
         self.state_dim = corr_dim + feature_dim

@@ -153,12 +153,14 @@ class Transition:
 
 
 class EdgeEnv:
-    """The multi-server serving loop: resolves actions, scores, and mutates stores.
+    """The multi-server serving loop: routes requests, scores them, and mutates
+    stores.
 
     Protocol per slot: call :meth:`begin_slot` once (runs the periodic cache
     eviction sweep over every store), then query correlations and call
-    :meth:`step` for each request, or :meth:`broadcast_step`, which steps a
-    request at every server and returns the served transition with all of
+    :meth:`step` for each request, which picks its route (serve, direct or
+    enhance) and serves it in one pass, or :meth:`broadcast_step`, which steps
+    a request at every server and returns the served transition with all of
     them.  Random draws are keyed by (request id, server), so a given request
     sees identical noise regardless of scheduling mode or processing order.
     """
@@ -229,48 +231,6 @@ class EdgeEnv:
         """Retrieve the correlation set a scheduler should decide from."""
         return self.stores[server].query(question_vec, self.query_width)
 
-    # -- action resolution -------------------------------------------------
-
-    def _resolve(
-        self,
-        store: VectorStore,
-        request: Request,
-        action: ActionChoice,
-        corr: CorrelationSet,
-    ):
-        """Map (action, correlations) to a concrete route.
-
-        Returns (resolved label, matched hit's store row and distance, answer
-        vector to serve, fallback flag); the row, distance and answer are
-        None where they do not apply.
-        """
-        if action.a == DIRECT_CLOUD:
-            return "B", None, None, None, False
-        if not len(corr):
-            log.debug(
-                "slot %d server %d: cache path requested on empty correlations; "
-                "falling back to direct cloud",
-                request.slot,
-                store.server,
-            )
-            return "B", None, None, None, True
-        i = best_hit(corr, self.filter_value_weight, self.filter_freq_weight)
-        row, question, answer = store.hit_pair(corr, i)
-        dist = float(corr.hits.distance[i])
-        # Serve only when the matched pair's question lies within tau_serve
-        # of the query and its answer half is still stored.
-        if question is None:
-            qdist = np.inf
-        elif int(corr.hits.kind[i]) == RecordKind.QUESTION:
-            qdist = dist
-        else:
-            qdist = _distance(request.question_vec, question)
-        if qdist < self.tau_serve and answer is not None:
-            return "A", row, dist, answer, False
-        return "C", row, dist, None, False
-
-    # -- stepping ----------------------------------------------------------
-
     def step(
         self,
         request: Request,
@@ -279,42 +239,66 @@ class EdgeEnv:
         action_prob: float = 1.0,
         server: int | None = None,
     ) -> Transition:
-        """Serve one request at one server and apply all store mutations."""
+        """Serve one request at one server and apply all store mutations.
+
+        ``correlations`` defaults to :meth:`correlations` at the server.  The
+        route:
+
+        * 'B' direct cloud: the action is ``DIRECT_CLOUD``, or the cache path
+          on an empty set (a fallback).  One cloud delay, noise ``sigma_llm``.
+        * Otherwise :func:`best_hit` picks a hit.  'A' serves its pair's
+          answer when the pair's question lies within ``tau_serve`` of the
+          request and the answer half is still stored: one edge delay, no
+          noise.
+        * Else 'C' enhances a cloud call with the hit as context: an edge
+          then a cloud delay, and noise ``sigma_enhance`` when the hit lies
+          within ``relevance_radius``, else ``sigma_llm + sigma_mislead``.
+        """
         n = request.server if server is None else server
         if not 0 <= n < len(self.stores):
             raise ConfigError(f"server {n} out of range for {len(self.stores)} stores")
         store = self.stores[n]
-        corr = (
-            correlations
-            if correlations is not None
-            else store.query(request.question_vec, self.query_width)
-        )
-        resolved, row, dist, answer, fallback = self._resolve(
-            store, request, action, corr
-        )
+        corr = correlations
+        if corr is None:
+            corr = self.correlations(n, request.question_vec)
         delay_rng = self._delay_streams(request.id, n)
-        if resolved == "A":
-            answer_vec = answer
-            d = self.delay_model.sample_edge(delay_rng)
-        else:
-            # Only cloud answers draw noise, so only they build the answer stream.
-            if resolved == "B":
-                sigma = self.answer_model.sigma_llm
-                d = self.delay_model.sample_cloud(delay_rng)
-            else:  # 'C': retrieval plus an enhanced cloud call, delays add up
-                relevant = dist < self.answer_model.relevance_radius
-                sigma = (
-                    self.answer_model.sigma_enhance
-                    if relevant
-                    else self.answer_model.sigma_llm + self.answer_model.sigma_mislead
+        fallback = action.a == USE_CACHE and not len(corr)
+        if action.a == DIRECT_CLOUD or fallback:
+            if fallback:
+                log.debug(
+                    "slot %d server %d: cache path requested on empty correlations; "
+                    "falling back to direct cloud",
+                    request.slot,
+                    store.server,
                 )
+            resolved, sigma = "B", self.answer_model.sigma_llm
+            d = self.delay_model.sample_cloud(delay_rng)
+        else:
+            i = best_hit(corr, self.filter_value_weight, self.filter_freq_weight)
+            row, question, answer = store.hit_pair(corr, i)
+            dist = float(corr.hits.distance[i])
+            if question is None:
+                qdist = np.inf
+            elif int(corr.hits.kind[i]) == RecordKind.QUESTION:
+                qdist = dist
+            else:
+                qdist = _distance(request.question_vec, question)
+            if qdist < self.tau_serve and answer is not None:
+                resolved, answer_vec = "A", answer
+                d = self.delay_model.sample_edge(delay_rng)
+            else:
+                model = self.answer_model
+                resolved = "C"
+                if dist < model.relevance_radius:
+                    sigma = model.sigma_enhance
+                else:
+                    sigma = model.sigma_llm + model.sigma_mislead
                 d = self.delay_model.sample_edge(delay_rng)
                 d += self.delay_model.sample_cloud(delay_rng)
-            answer_rng = self._answer_streams(request.id, n)
-            noise = sigma * random_unit(answer_rng, store.dim)
+        if resolved != "A":  # only cloud answers draw noise
+            noise = sigma * random_unit(self._answer_streams(request.id, n), store.dim)
             answer_vec = request.reference_vec + noise
         q = satisfaction(answer_vec, request.reference_vec)
-        r = self.reward(q, d)
         # Store mutations: the retrieved record (A, C) updates its running
         # value; cloud answers (B, C) are cached as a fresh pair seeded with
         # this payoff.
@@ -322,7 +306,9 @@ class EdgeEnv:
             store.refresh(row, q, d)
         if resolved != "A":
             store.insert_qa(request.question_vec, answer_vec, request.slot, q - d)
-        transition = Transition(
+        self.fallback_count += fallback
+        self.action_counts[resolved] += 1
+        return Transition(
             slot=request.slot,
             server=n,
             user=request.user,
@@ -332,14 +318,10 @@ class EdgeEnv:
             action_prob=action_prob,
             q=q,
             d=d,
-            r=r,
+            r=self.reward(q, d),
             fallback=fallback,
             topic=request.topic,
         )
-        if fallback:
-            self.fallback_count += 1
-        self.action_counts[resolved] += 1
-        return transition
 
     def broadcast_step(
         self,

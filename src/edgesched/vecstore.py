@@ -15,6 +15,7 @@ periodic eviction sweep that drops below-average records.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from enum import IntEnum
@@ -67,7 +68,7 @@ class VectorRecord:
 
 
 _KINDS = (None, RecordKind.QUESTION, RecordKind.ANSWER)  # indexed by kind code
-_RECORD_FIELDS = [f.name for f in fields(VectorRecord)]
+_RECORD_FIELDS = tuple(f.name for f in fields(VectorRecord))
 
 
 @dataclass(frozen=True)
@@ -83,9 +84,9 @@ class CorrelationEntry:
         return 1.0 / (1.0 + self.distance)
 
 
-# A query's hits, nearest first: per-hit arrays of store row, rid, vector,
-# kind code, freq, cache value, insert slot, pair id and distance.
-Hits = namedtuple("Hits", "row rid vec kind freq value slot pair distance")
+# A query's hits, nearest first: per-hit arrays of the store row, each
+# VectorRecord field (the kind as its code) and the distance.
+Hits = namedtuple("Hits", ("row", *_RECORD_FIELDS, "distance"))
 
 
 class CorrelationSet:
@@ -124,9 +125,9 @@ class CorrelationSet:
             h.vec[i],
             _KINDS[h.kind[i]],
             int(h.freq[i]),
-            float(h.value[i]),
-            int(h.slot[i]),
-            int(h.pair[i]),
+            float(h.cache_value[i]),
+            int(h.inserted_at[i]),
+            int(h.pair_id[i]),
         )
         return CorrelationEntry(record, float(h.distance[i]))
 
@@ -332,28 +333,23 @@ class IvfIndex:
         return _walk(np.argsort(d2, kind="stable"), self.lists, target)[0]
 
 
-# VectorStore's per-row arrays besides the vector matrix, with their dtypes.
-_FIELDS = {
-    "_rid": np.int64,
-    "_kind": np.int64,  # RecordKind code
-    "_freq": np.int64,
-    "_value": np.float64,  # cache value
-    "_slot": np.int64,  # inserted_at
-    "_pair": np.int64,
-    "_sq": np.float64,  # squared norm of the row's vector
-}
+# VectorStore's per-row arrays: one per VectorRecord field, named after it
+# (the kind as its code), then the squared norm of the row's vector.
+_FIELDS = (*(f"_{name}" for name in _RECORD_FIELDS), "_sq")
+_FLOAT_FIELDS = ("_vec", "_cache_value", "_sq")
+_record_columns = operator.attrgetter(*_FIELDS[:-1])
 
 
 class VectorStore:
     """One server's record store with IVF search and cache-value upkeep.
 
-    Records are rows of parallel arrays: a ``(capacity, dim)`` vector matrix
-    that doubles when full, plus one array per bookkeeping field.  The first
-    ``len(store)`` rows are live and sorted by rid: inserts append, and an
-    eviction sweep compacts the survivors in place.  Inverted lists hold row
-    numbers, which stay valid until the next sweep rebuilds the index.  Each
-    insert takes the next rid and the next pair id, so the rows are sorted
-    by pair id too.
+    Records are rows of parallel arrays, one per :class:`VectorRecord` field
+    and named after it (``_vec`` is a ``(capacity, dim)`` matrix), plus the
+    rows' squared norms; all double when full.  The first ``len(store)`` rows
+    are live and sorted by rid: inserts append, and an eviction sweep
+    compacts the survivors in place.  Inverted lists hold row numbers, which
+    stay valid until the next sweep rebuilds the index.  Each insert takes
+    the next rid and the next pair id, so the rows are sorted by pair id too.
     """
 
     def __init__(
@@ -380,23 +376,19 @@ class VectorStore:
         self.seed = seed
         self.server = server
         self._n = 0
-        self._vecs = np.empty((16, dim))
-        for name, dtype in _FIELDS.items():
+        for name in _FIELDS:
+            dtype = np.float64 if name in _FLOAT_FIELDS else np.int64
             setattr(self, name, np.empty(16, dtype=dtype))
+        self._vec = np.empty((16, dim))
         self._next_rid = 0
         self._next_pair = 0
         self._index: IvfIndex | None = None
         self._inserts_since_build = 0
-        self._builds = 0
+        self.index_builds = 0  # times the coarse quantizer was (re)trained
         self.eviction_log: list[tuple[int, int]] = []  # (slot, dropped)
 
     def __len__(self) -> int:
         return self._n
-
-    @property
-    def index_builds(self) -> int:
-        """How many times the coarse quantizer has been retrained."""
-        return self._builds
 
     def _row_of(self, rid: int) -> int:
         row = int(self._rid[: self._n].searchsorted(rid))
@@ -406,17 +398,7 @@ class VectorStore:
 
     def _hit_set(self, rows: np.ndarray, dists: np.ndarray) -> CorrelationSet:
         """``rows`` as hits at distances ``dists``."""
-        hits = Hits(
-            rows,
-            self._rid[rows],
-            self._vecs[rows],
-            self._kind[rows],
-            self._freq[rows],
-            self._value[rows],
-            self._slot[rows],
-            self._pair[rows],
-            dists,
-        )
+        hits = Hits(rows, *[column[rows] for column in _record_columns(self)], dists)
         return CorrelationSet._of_hits(hits, self)
 
     def record(self, rid: int) -> VectorRecord:
@@ -434,20 +416,20 @@ class VectorStore:
         next free row; returns the row."""
         row = self._n
         if row == self._rid.shape[0]:
-            for name in ("_vecs", *_FIELDS):
+            for name in _FIELDS:
                 old = getattr(self, name)
                 new = np.empty((2 * row,) + old.shape[1:], dtype=old.dtype)
                 new[:row] = old
                 setattr(self, name, new)
-        self._vecs[row] = vec
-        self._sq[row] = self._vecs[row].dot(self._vecs[row])
+        self._vec[row] = vec
+        self._sq[row] = self._vec[row].dot(self._vec[row])
         self._rid[row] = self._next_rid
         self._next_rid += 1
         self._kind[row] = kind
         self._freq[row] = 0
-        self._value[row] = value
-        self._slot[row] = slot
-        self._pair[row] = pair
+        self._cache_value[row] = value
+        self._inserted_at[row] = slot
+        self._pair_id[row] = pair
         self._n += 1
         return row
 
@@ -477,7 +459,7 @@ class VectorStore:
         ):
             row = self._append(vec, kind, value, slot, pair)
             if self._index is not None:
-                self._index.add(row, self._vecs[row])
+                self._index.add(row, self._vec[row])
         self._inserts_since_build += 2
         stale = self._index is None or self._inserts_since_build >= self.rebuild_every
         if self.nlist > 1 and stale:
@@ -501,16 +483,16 @@ class VectorStore:
         if corr._store is not self or row >= n or self._rid[row] != corr.hits.rid[i]:
             raise KeyError(f"hit {i} is not a live row of this store")
         question = row if int(self._kind[row]) == RecordKind.QUESTION else row - 1
-        pair = self._pair[row]
+        pair = self._pair_id[row]
         return row, *[
-            self._vecs[r] if 0 <= r < n and self._pair[r] == pair else None
+            self._vec[r] if 0 <= r < n and self._pair_id[r] == pair else None
             for r in (question, question + 1)
         ]
 
     # -- search ------------------------------------------------------------
 
     def _score(self, rows: np.ndarray, query: np.ndarray, width: int) -> CorrelationSet:
-        vecs = self._vecs[rows]
+        vecs = self._vec[rows]
         diff = vecs - query[None, :]
         # np.linalg.norm(diff, axis=1)'s own formula, without its dispatch.
         dists = np.sqrt((diff * diff).sum(axis=1))
@@ -531,7 +513,7 @@ class VectorStore:
         rows = np.arange(n)
         if n > width:
             sq = self._sq[:n]
-            g = sq + self._vecs[:n] @ (-2.0 * query)
+            g = sq + self._vec[:n] @ (-2.0 * query)
             bound = float(np.partition(g, width - 1)[width - 1])
             bound += _rounding_margin(self.dim, sq.max(), query)
             # ``not >`` keeps every row when a value or the bound is NaN.
@@ -572,9 +554,9 @@ class VectorStore:
             self._index = None
             return None
         k = min(self.nlist, n)
-        rng = substream(self.seed, DOMAIN_INDEX, self.server, self._builds)
-        self._builds += 1
-        centroids, assign = _lloyd_kmeans(self._vecs[:n], k, rng)
+        rng = substream(self.seed, DOMAIN_INDEX, self.server, self.index_builds)
+        self.index_builds += 1
+        centroids, assign = _lloyd_kmeans(self._vec[:n], k, rng)
         lists: list[list[int]] = [[] for _ in range(k)]
         for row, li in enumerate(assign.tolist()):
             lists[li].append(row)
@@ -594,8 +576,8 @@ class VectorStore:
             raise ValueError(f"satisfaction must be strictly negative, got {q}")
         if d <= 0.0:
             raise ValueError(f"delay must be strictly positive, got {d}")
-        value = (float(self._value[row]) + (q - d)) / 2.0
-        self._value[row] = value
+        value = (float(self._cache_value[row]) + (q - d)) / 2.0
+        self._cache_value[row] = value
         self._freq[row] += 1
         return value
 
@@ -603,7 +585,7 @@ class VectorStore:
         """:meth:`refresh` the row holding ``record``, and ``record`` with it."""
         row = self._row_of(record.rid)
         if (
-            int(self._pair[row]) != record.pair_id
+            int(self._pair_id[row]) != record.pair_id
             or int(self._kind[row]) != record.kind
         ):
             raise KeyError(f"record {record.rid} is not in this store")
@@ -620,7 +602,7 @@ class VectorStore:
         """
         if not self._n:
             raise EmptyCorrelationError("store is empty")
-        values = self._value[: self._n]
+        values = self._cache_value[: self._n]
         return float(min(max(np.mean(values), values.min()), values.max()))
 
     def evict(self, slot: int) -> int:
@@ -632,9 +614,9 @@ class VectorStore:
         n = self._n
         if not n:
             return 0
-        keep = ~(self._value[:n] < self.mean_cache_value())
+        keep = ~(self._cache_value[:n] < self.mean_cache_value())
         kept = int(keep.sum())
-        for name in ("_vecs", *_FIELDS):
+        for name in _FIELDS:
             arr = getattr(self, name)
             arr[:kept] = arr[:n][keep]
         self._n = kept

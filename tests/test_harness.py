@@ -356,6 +356,21 @@ use_positional = no
         with pytest.raises(ConfigError, match=r"\[trainer\] gamma"):
             load_config(self.write(tmp_path, "[trainer]\ngamma = fast\n"))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[DEFAULT]\nseed = 3\n",
+            "[DEFAULT]\nseed = 3\n[experiment]\nservers = 2\n",
+            "[DEFAULT]\nseed = 3\n[experiment]\nservers = 2\n[env]\ntau_serve = 0.2\n",
+        ],
+        ids=["alone", "one-section", "two-sections"],
+    )
+    def test_default_section_rejected(self, tmp_path, text):
+        p = self.write(tmp_path, text)
+        want = f"{p}: unknown section [DEFAULT]; known: ['encoder', 'env', "
+        with pytest.raises(ConfigError, match=re.escape(want)):
+            load_config(p)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.ini")
@@ -1093,6 +1108,25 @@ class TestCli:
             self.write_cfg(tmp_path, CLI_INI.replace("seed = 3", "seed = -1"))
         assert cli_main(argv) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[DEFAULT]\nseed = 3\n", "[DEFAULT]\nseed = 3\n" + CLI_INI.split("\n[workload]")[0]],
+        ids=["alone", "with-experiment"],
+    )
+    def test_default_section_exits_2_before_the_report_opens(
+        self, tmp_path, capsys, monkeypatch, text
+    ):
+        def slot_loop(*args, **kwargs):
+            raise AssertionError("slot loop entered with a [DEFAULT] section")
+
+        monkeypatch.setattr(harness._Deployment, "play", slot_loop)
+        out = tmp_path / "r.csv"
+        argv = ["--config", str(self.write_cfg(tmp_path, text)), "--out", str(out)]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "unknown section [DEFAULT]" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "old,new",

@@ -275,6 +275,44 @@ class TestBuffer:
             buf.record_slot(**slot)
         assert buf.pending_steps == 0
 
+    @pytest.mark.parametrize("field,shape", [("corr", (2, 5)), ("question", (2, 6))])
+    def test_a_slot_of_another_width_is_rejected(self, field, shape):
+        buf = ExperienceBuffer(2, 4)
+        rng = np.random.default_rng(7)
+        self.record(buf, rng)  # corr width 3, question width 4
+        slot = {
+            "corr": np.zeros((2, 3)),
+            "question": np.zeros((2, 4)),
+            "actions": np.zeros(2, dtype=int),
+            "probs": np.full(2, 0.5),
+            "rewards": np.zeros(2),
+        }
+        slot[field] = np.zeros(shape)
+        with pytest.raises(ConfigError, match=rf"^{field} shape \(2, \d\) != \(2, \d\)"):
+            buf.record_slot(**slot)
+        assert buf.pending_steps == 1
+        self.record(buf, rng)  # a slot of the staged widths is still taken
+        assert buf.hand_off(np.zeros((2, 3)), np.zeros((2, 4))).steps == 2
+
+    @pytest.mark.parametrize(
+        "field,shape",
+        [
+            ("final_corr", (7,)),
+            ("final_corr", (1, 1)),
+            ("final_corr", (2, 5)),
+            ("final_question", (2, 6)),
+            ("final_question", (3, 4)),
+        ],
+    )
+    def test_a_final_observation_of_another_shape_is_rejected(self, field, shape):
+        buf = ExperienceBuffer(2, 4)
+        self.record(buf, np.random.default_rng(8))
+        final = {"final_corr": np.zeros((2, 3)), "final_question": np.zeros((2, 4))}
+        final[field] = np.zeros(shape)
+        with pytest.raises(ConfigError, match=rf"^{field} shape"):
+            buf.hand_off(**final)
+        assert buf.pending_steps == 1 and buf.segments == []
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             ExperienceBuffer(0, 1)
@@ -533,6 +571,26 @@ class TestTrainer:
         demos = DemoSet([random_segment(rng), random_segment(rng, **shape)])
         with pytest.raises(ConfigError, match="demo segment 1"):
             make_trainer(demos=demos)
+
+    @pytest.mark.parametrize(
+        "field,shape",
+        [
+            ("final_corr", (7,)),
+            ("final_corr", (2, 5)),
+            ("final_question", (1, 1)),
+            ("final_question", (3, 4)),
+            ("corr", (5, 2, 3)),
+            ("actions", (4, 3)),
+            ("probs", (4,)),
+            ("rewards", (4, 3)),
+        ],
+    )
+    def test_demo_segment_with_a_misshapen_field_rejected(self, field, shape):
+        rng = np.random.default_rng(9)
+        bad = random_segment(rng)  # 4 steps, 2 agents, corr width 3, question width 4
+        setattr(bad, field, np.zeros(shape))
+        with pytest.raises(ConfigError, match=rf"demo segment 1: {field} shape"):
+            make_trainer(demos=DemoSet([random_segment(rng), bad]))
 
     def test_demo_quota_anneals_and_ceases(self):
         rng = np.random.default_rng(2)

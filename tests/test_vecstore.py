@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -667,7 +669,7 @@ def _check_exact(store, query, width):
     want = _full_scan(store, query, width)
     assert _hits(got) == _hits(want)
     n = len(store)
-    vecs = store._vecs[:n]
+    vecs = store._vec[:n]
     assert np.array_equal(store._sq[:n], [v.dot(v) for v in vecs])
 
 
@@ -734,6 +736,8 @@ class TestLazyColumns:
         for width in (1, 3, 7):
             queried = store.query(random_unit(rng, 8), width)
             rebuilt = CorrelationSet(list(queried))
+            want_fields = ("row", *[f.name for f in fields(VectorRecord)], "distance")
+            assert queried.hits._fields == rebuilt.hits._fields == want_fields
             for name in queried.hits._fields:
                 want = np.full(width, -1) if name == "row" else getattr(queried.hits, name)
                 assert np.array_equal(getattr(rebuilt.hits, name), want), name
