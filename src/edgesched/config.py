@@ -14,6 +14,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import inspect
+import os
 from dataclasses import dataclass
 
 from .baselines import AblationSpec, resolve_policy
@@ -114,6 +115,13 @@ class ExperimentConfig:
             raise ConfigError(f"window_size must be >= 1, got {self.window_size}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in ("workload_file", "transitions_out"):
+            path = getattr(self, name)
+            if path and any(c in path for c in "\n\r\0"):
+                raise ConfigError(f"{name} must be one line without NUL, got {path!r}")
+        paths = (self.workload_file, self.transitions_out)
+        if all(paths) and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
+            raise ConfigError("transitions_out names the same file as workload_file")
         variant = resolve_policy(self.policy)
         learned = isinstance(variant, AblationSpec)
         if learned and variant.use_demos and self.demo_slots < 1:

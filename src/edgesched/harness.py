@@ -5,7 +5,7 @@ training phase where requests go to their origin server (and learned
 policies update), then a frozen test phase in either ``nearest`` mode (same
 routing) or ``broadcast`` mode (every request is served by all servers and
 the fastest answer wins).  Metrics are aggregated into fixed-size windows of
-completed requests and written as CSV or JSON lines.
+completed requests and written as a CSV report.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import json
 import logging
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -177,21 +178,7 @@ def _summaries_from_windows(windows: list[MetricsWindow]) -> dict[str, PhaseSumm
 
 
 def emit_report(report: MetricsReport, path) -> None:
-    """Write a report as CSV (default) or JSON lines (.jsonl/.json paths)."""
-    if _is_jsonl(path):
-        with open(path, "w") as fh:
-            meta = {
-                "kind": "meta",
-                "policy": report.policy,
-                "mode": report.mode,
-                "seed": report.seed,
-                "config": report.config,
-            }
-            fh.write(json.dumps(meta) + "\n")
-            for w in report.windows:
-                row = {"kind": "window", **dataclasses.asdict(w)}
-                fh.write(json.dumps(row) + "\n")
-        return
+    """Write a report as CSV: provenance comment lines, then the window rows."""
     with open(path, "w", newline="") as fh:
         fh.write("# edgesched-report v1\n")
         fh.write(f"# policy = {report.policy}\n")
@@ -205,66 +192,47 @@ def emit_report(report: MetricsReport, path) -> None:
             writer.writerow([str(getattr(w, f)) for f in _WINDOW_FIELDS])
 
 
-def _is_jsonl(path) -> bool:
-    return str(path).endswith((".jsonl", ".json"))
-
-
-# How load_report converts the report's provenance fields, in both formats.
+# How load_report converts the report's provenance lines.
 _META_FIELDS = {"policy": jsonl.text, "mode": jsonl.text, "seed": jsonl.integer}
 _TEXT_FIELDS = ("policy", "mode", "phase")
 
 
 def load_report(path) -> MetricsReport:
-    """Read a report back; it equals the report that was written.
+    """Read a CSV report back; it equals the report that was written.
 
     Window fields round-trip exactly, and the phase summaries are rebuilt
     from them with :func:`_summaries_from_windows`, as the run built them.
     """
     windows: list[MetricsWindow] = []
-    if _is_jsonl(path):
-        meta = None
-        for where, row in jsonl.rows(path):
-            if row.get("kind") == "meta":
-                meta = {k: f(where, row, k) for k, f in _META_FIELDS.items()}
-                meta["config"] = row.get("config", {})
-                if not isinstance(meta["config"], dict):
-                    raise ParseError(f"{where}: config: expected an object")
-            elif row.get("kind") == "window":
-                windows.append(_window_from(where, row))
-            else:
-                raise ParseError(f"{where}: unknown row kind")
-        if meta is None:
-            raise ParseError(f"{path}: missing meta row")
-    else:
-        meta = {"config": {}}
-        header = None
-        for where, line in jsonl.lines(path):
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("config "):
-                    # Split the unstripped rest: an empty value ends in " = ".
-                    rest = line[1:].lstrip()[len("config ") :].rstrip("\n")
-                    key, _, value = rest.partition(" = ")
-                    meta["config"][key.strip()] = value
-                elif " = " in body:
-                    key, _, value = (part.strip() for part in body.partition(" = "))
-                    if key in _META_FIELDS:
-                        meta[key] = _META_FIELDS[key](where, _cells({key: value}), key)
-                continue
-            row = next(csv.reader([line]))
-            if header is None:
-                header = tuple(row)
-                if header != _WINDOW_FIELDS:
-                    raise ParseError(f"{where}: malformed header row")
-            elif len(row) != len(_WINDOW_FIELDS):
-                raise ParseError(f"{where}: window row has {len(row)} fields")
-            else:
-                windows.append(_window_from(where, _cells(zip(_WINDOW_FIELDS, row))))
+    meta = {"config": {}}
+    header = None
+    for where, line in jsonl.lines(path):
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.startswith("config "):
+                # Split the unstripped rest: an empty value ends in " = ".
+                rest = line[1:].lstrip()[len("config ") :].rstrip("\n")
+                key, _, value = rest.partition(" = ")
+                meta["config"][key.strip()] = value
+            elif " = " in body:
+                key, _, value = (part.strip() for part in body.partition(" = "))
+                if key in _META_FIELDS:
+                    meta[key] = _META_FIELDS[key](where, _cells({key: value}), key)
+            continue
+        row = next(csv.reader([line]))
         if header is None:
-            raise ParseError(f"{path}: missing header row")
-        for key in _META_FIELDS:
-            if key not in meta:
-                raise ParseError(f"{path}: missing '# {key} = ' line")
+            header = tuple(row)
+            if header != _WINDOW_FIELDS:
+                raise ParseError(f"{where}: malformed header row")
+        elif len(row) != len(_WINDOW_FIELDS):
+            raise ParseError(f"{where}: window row has {len(row)} fields")
+        else:
+            windows.append(_window_from(where, _cells(zip(_WINDOW_FIELDS, row))))
+    if header is None:
+        raise ParseError(f"{path}: missing header row")
+    for key in _META_FIELDS:
+        if key not in meta:
+            raise ParseError(f"{path}: missing '# {key} = ' line")
     summaries = _summaries_from_windows(windows)
     return MetricsReport(
         **meta, windows=windows, train=summaries["train"], test=summaries["test"]
@@ -272,8 +240,9 @@ def load_report(path) -> MetricsReport:
 
 
 def _cells(pairs) -> dict:
-    """A CSV report's ``(field, text)`` cells as a JSON-lines row: the cell
-    of a numeric field becomes the JSON value it spells, if it spells one."""
+    """A CSV report's ``(field, text)`` cells as a row for the :mod:`jsonl`
+    converters: the cell of a numeric field becomes the JSON value it
+    spells, if it spells one."""
     row = dict(pairs)
     for key, cell in row.items():
         if key not in _TEXT_FIELDS:
@@ -607,10 +576,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--mode", choices=("nearest", "broadcast"), help="test-phase routing mode"
     )
-    parser.add_argument(
-        "--out",
-        help="report file; .jsonl/.json selects JSON lines, anything else CSV",
-    )
+    parser.add_argument("--out", help="CSV report file")
     parser.add_argument(
         "--export-workload",
         metavar="PATH",
@@ -622,6 +588,21 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="run built-in invariant self-checks and exit",
     )
     return parser
+
+
+def _check_report_path(out: str, config_path: str, cfg: ExperimentConfig) -> None:
+    """Reject a ``--out`` path that is not a CSV report's or that names a
+    file the run reads or writes besides the report."""
+    if out.lower().endswith((".json", ".jsonl")):
+        raise ConfigError(f"--out {out}: reports are CSV; use a .csv path")
+    others = {
+        "--config": config_path,
+        "workload_file": cfg.workload_file,
+        "transitions_out": cfg.transitions_out,
+    }
+    for name, other in others.items():
+        if other and os.path.realpath(other) == os.path.realpath(out):
+            raise ConfigError(f"--out {out} names the same file as {name}")
 
 
 def cli_main(argv=None) -> int:
@@ -644,6 +625,8 @@ def cli_main(argv=None) -> int:
         if args.mode is not None:
             cfg.mode = args.mode
         cfg.validate()
+        if args.out:
+            _check_report_path(args.out, args.config, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,9 @@
-"""Reading JSON-lines input files: one line reader and its field converters.
+"""Reading input files: one line reader and its field converters.
 
-Replay workloads and JSON-lines reports are read through :func:`rows`, CSV
-reports through :func:`lines`.  :func:`rows` yields each non-blank line as a
-JSON object together with ``where``, the ``"<path>: line N"`` that starts
-every error message about that line.  The converters turn one field of a
+Replay workloads, the one JSON-lines input, are read through :func:`rows`,
+CSV reports through :func:`lines`.  :func:`rows` yields each non-blank line
+as a JSON object together with ``where``, the ``"<path>: line N"`` that
+starts every error message about that line.  The converters turn one field of a
 row into the value a reader needs, or raise
 :class:`~edgesched.errors.ParseError` ``"<where>: <field>: <reason>"`` when
 the field is missing or has the wrong type or range.  Numeric fields take

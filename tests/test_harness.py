@@ -196,6 +196,9 @@ class TestConfigValidation:
             ("paraphrase_sigma", -0.1),
             ("reward_scale", 0.0),
             ("reward_scale", -1.0),
+            ("transitions_out", "log\n part2.jsonl"),
+            ("workload_file", "wl\r.jsonl"),
+            ("transitions_out", "log\0.jsonl"),
         ],
     )
     def test_bad_fields_raise(self, field, value):
@@ -541,6 +544,12 @@ def sample_report():
 class TestReportFiles:
     def test_csv_round_trip_is_exact(self, tmp_path):
         report = sample_report()
+        # Values a config line must carry as they are: the " = " separator,
+        # a comment mark, CSV's comma and quote, and outer spaces.
+        report.config.update(
+            {"a.eq": "x = y = z", "a.hash": "# no comment", "a.comma": "1,2",
+             "a.quote": 'say "hi"', "a.space": "  padded  ", "a.empty": ""}
+        )
         path = tmp_path / "report.csv"
         emit_report(report, path)
         loaded = load_report(path)
@@ -549,24 +558,6 @@ class TestReportFiles:
         assert loaded.seed == report.seed
         assert loaded.config == report.config
         assert loaded.windows == report.windows  # float fields bit-identical
-
-    def test_jsonl_round_trip_is_exact(self, tmp_path):
-        report = sample_report()
-        path = tmp_path / "report.jsonl"
-        emit_report(report, path)
-        loaded = load_report(path)
-        assert loaded.windows == report.windows
-        assert loaded.config == report.config
-        assert loaded.seed == 42
-
-    def test_format_inferred_from_extension(self, tmp_path):
-        report = sample_report()
-        jpath = tmp_path / "r.json"
-        emit_report(report, jpath)
-        assert json.loads(jpath.read_text().splitlines()[0])["kind"] == "meta"
-        cpath = tmp_path / "r.csv"
-        emit_report(report, cpath)
-        assert cpath.read_text().startswith("# edgesched-report v1")
 
     def test_loaded_summaries_match_windows(self, tmp_path):
         report = sample_report()
@@ -579,10 +570,11 @@ class TestReportFiles:
         assert loaded.train.mean_reward == expect
         assert loaded.train.requests == n
 
-    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    @pytest.mark.parametrize("suffix", [".csv", ".txt"])
     def test_run_report_round_trip(self, tmp_path, suffix):
         # Windows come back bit for bit, and the run's summaries were built
-        # from those windows, so the whole report is equal.
+        # from those windows, so the whole report is equal.  A report is
+        # CSV whatever its file is called.
         report = run_experiment(tiny_cfg(policy="greedy-0.3", train_slots=23))
         path = tmp_path / f"report{suffix}"
         emit_report(report, path)
@@ -621,24 +613,6 @@ class TestReportFiles:
         lines.append("train,x,5,1.0,1.0,1.0,0.5,0.0")
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="bad window row"):
-            load_report(path)
-
-    def test_jsonl_invalid_json_names_line(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"kind": "meta", "policy": "p", "mode": "m", "seed": 1}\n{oops\n')
-        with pytest.raises(ParseError, match="line 2"):
-            load_report(path)
-
-    def test_jsonl_unknown_kind(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"kind": "meta", "policy": "p", "mode": "m", "seed": 1}\n{"kind": "frame"}\n')
-        with pytest.raises(ParseError, match="unknown row kind"):
-            load_report(path)
-
-    def test_jsonl_missing_meta(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text("")
-        with pytest.raises(ParseError, match="meta"):
             load_report(path)
 
 
@@ -1091,6 +1065,71 @@ class TestCli:
         assert err.startswith("error:")
         assert f"{wl}: line {len(lines)}: id:" in err
 
+    @pytest.mark.parametrize("name", ["r.jsonl", "r.json", "R.JSONL"])
+    def test_json_report_path_exits_2_before_the_run(
+        self, tmp_path, capsys, monkeypatch, name
+    ):
+        def slot_loop(*args, **kwargs):
+            raise AssertionError("slot loop entered with a JSON report path")
+
+        monkeypatch.setattr(harness._Deployment, "play", slot_loop)
+        out = tmp_path / name
+        argv = ["--config", str(self.write_cfg(tmp_path)), "--out", str(out)]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "reports are CSV" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["transitions_out", "workload_file"])
+    def test_path_setting_spanning_lines_exits_2_before_the_run(
+        self, tmp_path, capsys, monkeypatch, field
+    ):
+        def slot_loop(*args, **kwargs):
+            raise AssertionError("slot loop entered with a two-line path")
+
+        monkeypatch.setattr(harness._Deployment, "play", slot_loop)
+        monkeypatch.chdir(tmp_path)
+        anchor = "dim = 16" if field == "transitions_out" else "topics = 40"
+        # An indented line continues the INI value above it.
+        text = CLI_INI.replace(anchor, f"{anchor}\n{field} = log\n    part2.jsonl")
+        argv = ["--config", str(self.write_cfg(tmp_path, text)), "--out", "r.csv"]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field} must be one line")
+        assert os.listdir(tmp_path) == ["exp.ini"]
+
+    @pytest.mark.parametrize(
+        "out, log",
+        [
+            ("./exp.ini", "run.log"),
+            ("wl.replay", "run.log"),
+            ("{tmp}/run.log", "run.log"),
+            ("r.csv", "./wl.replay"),
+        ],
+        ids=["out-config", "out-workload", "out-log", "log-workload"],
+    )
+    def test_output_over_a_run_file_exits_2_before_the_run(
+        self, tmp_path, capsys, monkeypatch, out, log
+    ):
+        def slot_loop(*args, **kwargs):
+            raise AssertionError("slot loop entered with an output over a run file")
+
+        wl = tmp_path / "wl.replay"
+        argv = ["--config", str(self.write_cfg(tmp_path)), "--export-workload", str(wl)]
+        assert cli_main(argv) == 0
+        (tmp_path / "run.log").write_text("an earlier run's log\n")
+        text = CLI_INI.replace("dim = 16", f"dim = 16\ntransitions_out = {log}")
+        text = text.replace("topics = 40", f"topics = 40\nworkload_file = {wl}")
+        p = self.write_cfg(tmp_path, text)
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        monkeypatch.setattr(harness._Deployment, "play", slot_loop)
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert cli_main(["--config", str(p), "--out", out.format(tmp=tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "same file as" in err
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
     @pytest.mark.parametrize("fault", ["directory", "non-utf8", "seed-flag", "seed-ini"])
     def test_bad_config_exits_2_before_the_run(self, tmp_path, capsys, monkeypatch, fault):
         def slot_loop(*args, **kwargs):
@@ -1181,7 +1220,7 @@ class TestCli:
 
     def test_seed_and_policy_overrides_reach_report(self, tmp_path):
         p = self.write_cfg(tmp_path)
-        out = tmp_path / "report.jsonl"
+        out = tmp_path / "report.csv"
         code = cli_main(
             ["--config", str(p), "--seed", "9", "--policy", "greedy-0.3",
              "--out", str(out)]
@@ -1191,6 +1230,14 @@ class TestCli:
         assert report.seed == 9
         assert report.policy == "greedy-0.3"
         assert report.config["experiment.seed"] == "9"
+
+    def test_readme_flag_table_names_every_option(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("| flag | meaning |\n", 1)[1].split("\n\n", 1)[0]
+        listed = re.findall(r"^\| `(--[\w-]+)", table, flags=re.M)
+        actions = build_arg_parser()._actions
+        options = {o for a in actions for o in a.option_strings} - {"-h", "--help"}
+        assert sorted(listed) == sorted(options)
 
     def test_export_workload(self, tmp_path, capsys):
         p = self.write_cfg(tmp_path)

@@ -162,7 +162,6 @@ def write_report(path):
 
 READERS = {
     "workload": (write_workload, "w.jsonl", lambda p: load_workload(p, dim=DIM)),
-    "report-jsonl": (write_report, "r.jsonl", load_report),
     "report-csv": (write_report, "r.csv", load_report),
 }
 
@@ -188,14 +187,6 @@ def set_item(key, i, value):
 @pytest.mark.parametrize(
     "reader, lineno, edit, reason",
     [
-        ("report-jsonl", 2, lambda row: [1, 2], "expected a JSON object"),
-        ("report-jsonl", 1, drop_field("policy"), "policy: missing"),
-        ("report-jsonl", 1, set_field("config", "x"), "config: expected an object"),
-        ("report-jsonl", 1, set_field("seed", "42"), "seed: expected an integer"),
-        ("report-jsonl", 2, set_field("count", 5.5), "bad window row: count: expected"),
-        ("report-jsonl", 3, set_field("mean_reward", "-3"), "bad window row: mean_reward: expected"),
-        ("report-jsonl", 2, set_field("mean_reward", math.nan), "bad window row: mean_reward: expected a finite"),
-        ("report-jsonl", 1, set_field("policy", 5), "policy: expected a string"),
         ("workload", 1, set_field("id", "x"), "id: expected"),
         ("workload", 4, set_field("id", -1), "id: expected"),
         ("workload", 2, set_field("slot", "3"), "slot: expected an integer"),
