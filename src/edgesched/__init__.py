@@ -56,7 +56,6 @@ from .baselines import (
     ABLATIONS,
     POLICY_NAMES,
     AblationSpec,
-    DecisionContext,
     LearnedPolicy,
     PayoffGreedyPolicy,
     RandomPolicy,

@@ -1,9 +1,11 @@
 """Comparison schedulers and learned-policy wiring presets.
 
-Heuristics here share one interface: ``decide(ctx) -> (ActionChoice, prob)``
-with an optional ``observe(transition)`` hook for policies that track
-outcomes.  The experiment harness drives them interchangeably with the
-learned schedulers.
+Heuristics here share one interface:
+``decide(corr, request, server) -> (ActionChoice, prob)``, the correlation
+set a server retrieved for a request and the deciding server (in broadcast
+mode, ``request.server`` is the request's origin, not the decider), with an
+optional ``observe(transition)`` hook for policies that track outcomes.  The
+experiment harness drives them interchangeably with the learned schedulers.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .marl import PolicySnapshot, correlation_features
 from .seeding import DOMAIN_POLICY, KeyedStreams
 from .simenv import DIRECT_CLOUD, USE_CACHE, ActionChoice, EdgeEnv
 from .vecstore import CorrelationSet
+from .workload import Request
 
 # Direct-cloud rewards in each server's running cloud estimate.
 CLOUD_WINDOW = 50
@@ -27,22 +30,14 @@ CLOUD_WINDOW = 50
 # The two decisions; ActionChoice is frozen, so every request can share them.
 _CHOICES = (ActionChoice(USE_CACHE), ActionChoice(DIRECT_CLOUD))
 _CACHE, _CLOUD = _CHOICES
-
-
-@dataclass
-class DecisionContext:
-    """Everything a scheduler may look at when routing one request."""
-
-    corr: CorrelationSet
-    question_vec: np.ndarray
-    server: int
-    request_id: int
+# What decide() returns: the action and the probability it was chosen with.
+Decision = tuple[ActionChoice, float]
 
 
 class BasePolicy:
     """Interface stub: decide on an action, optionally observe the outcome."""
 
-    def decide(self, ctx: DecisionContext) -> tuple[ActionChoice, float]:
+    def decide(self, corr: CorrelationSet, request: Request, server: int) -> Decision:
         raise NotImplementedError
 
     def observe(self, transition) -> None:
@@ -57,8 +52,8 @@ class ThresholdPolicy(BasePolicy):
             raise ConfigError(f"threshold must be strictly positive, got {threshold}")
         self.threshold = threshold
 
-    def decide(self, ctx: DecisionContext) -> tuple[ActionChoice, float]:
-        nearest = ctx.corr.nearest_distance()
+    def decide(self, corr: CorrelationSet, request: Request, server: int) -> Decision:
+        nearest = corr.nearest_distance()
         if nearest is None or nearest > self.threshold:
             return _CLOUD, 1.0
         return _CACHE, 1.0
@@ -88,14 +83,14 @@ class PayoffGreedyPolicy(BasePolicy):
     def cloud_estimate(self, server: int) -> float:
         return self._estimates[server]
 
-    def decide(self, ctx: DecisionContext) -> tuple[ActionChoice, float]:
-        nearest = ctx.corr.nearest_distance()
+    def decide(self, corr: CorrelationSet, request: Request, server: int) -> Decision:
+        nearest = corr.nearest_distance()
         if nearest is None:
             return _CLOUD, 1.0
         # A perfect hit has distance 0; keep satisfaction strictly negative
         # the same way served answers do.
         predicted = self.env.reward(min(-nearest, -1e-9), self.edge_delay)
-        if predicted > self.cloud_estimate(ctx.server):
+        if predicted > self.cloud_estimate(server):
             return _CACHE, 1.0
         return _CLOUD, 1.0
 
@@ -117,8 +112,8 @@ class RandomPolicy(BasePolicy):
     def __init__(self, env: EdgeEnv):
         self._streams = KeyedStreams(env.seed, DOMAIN_POLICY, env.num_servers)
 
-    def decide(self, ctx: DecisionContext) -> tuple[ActionChoice, float]:
-        heads = self._streams(ctx.request_id, ctx.server).random() < 0.5
+    def decide(self, corr: CorrelationSet, request: Request, server: int) -> Decision:
+        heads = self._streams(request.id, server).random() < 0.5
         return (_CACHE if heads else _CLOUD), 0.5
 
 
@@ -130,9 +125,9 @@ class LearnedPolicy(BasePolicy):
         self.snapshot = snapshot
         self.width = env.query_width
 
-    def decide(self, ctx: DecisionContext) -> tuple[ActionChoice, float]:
-        feats = correlation_features(ctx.corr, self.width)
-        dist = self.snapshot.action_probs(feats[None, :], ctx.question_vec[None, :])[0]
+    def decide(self, corr: CorrelationSet, request: Request, server: int) -> Decision:
+        feats = correlation_features(corr, self.width)
+        dist = self.snapshot.action_probs(feats[None, :], request.question_vec[None, :])[0]
         a = int(np.argmax(dist))
         return _CHOICES[a], float(dist[a])
 

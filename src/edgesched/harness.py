@@ -28,7 +28,6 @@ from .baselines import (
     POLICY_NAMES,
     AblationSpec,
     BasePolicy,
-    DecisionContext,
     LearnedPolicy,
     PayoffGreedyPolicy,
     resolve_policy,
@@ -88,93 +87,78 @@ class WindowAccumulator:
         self.window_size = window_size
         self.n_agents = n_agents
         self.windows: list[MetricsWindow] = []
-        self._reset()
-
-    def _reset(self):
-        self._count = 0
-        self._r = 0.0
-        self._q = 0.0
-        self._d = 0.0
-        self._direct = 0
-        self._agent_r = np.zeros(self.n_agents)
-        self._agent_n = np.zeros(self.n_agents, dtype=int)
+        self._open: list[Transition] = []  # the open window, in arrival order
 
     def add(self, t: Transition) -> MetricsWindow | None:
-        self._count += 1
-        self._r += t.r
-        self._q += t.q
-        self._d += t.d
-        self._direct += t.resolved == "B"
-        self._agent_r[t.server] += t.r
-        self._agent_n[t.server] += 1
-        if self._count == self.window_size:
+        self._open.append(t)
+        if len(self._open) == self.window_size:
             return self._close()
         return None
 
     def _close(self) -> MetricsWindow:
-        active = self._agent_n > 0
-        if active.sum() > 1:
-            means = self._agent_r[active] / self._agent_n[active]
-            variance = float(np.var(means))
-        else:
-            variance = 0.0
+        ts, self._open = self._open, []
+        n = len(ts)
+        # Not sum(): from Python 3.12 it rounds floats differently.
+        r = q = d = 0.0
+        agent_r = np.zeros(self.n_agents)
+        agent_n = np.zeros(self.n_agents, dtype=int)
+        for t in ts:
+            r += t.r
+            q += t.q
+            d += t.d
+            agent_r[t.server] += t.r
+            agent_n[t.server] += 1
+        active = agent_n > 0
+        means = agent_r[active] / agent_n[active]
         win = MetricsWindow(
             phase=self.phase,
             index=len(self.windows),
-            count=self._count,
-            mean_reward=self._r / self._count,
-            mean_satisfaction=self._q / self._count,
-            mean_delay=self._d / self._count,
-            llm_direct_freq=self._direct / self._count,
-            reward_variance=variance,
+            count=n,
+            mean_reward=r / n,
+            mean_satisfaction=q / n,
+            mean_delay=d / n,
+            llm_direct_freq=sum(t.resolved == "B" for t in ts) / n,
+            reward_variance=float(np.var(means)) if len(means) > 1 else 0.0,
         )
         self.windows.append(win)
-        self._reset()
         return win
 
     def flush(self) -> MetricsWindow | None:
         """Close a partial tail window, if any completions are pending."""
-        if self._count:
+        if self._open:
             return self._close()
         return None
 
 
 @dataclass
 class MetricsReport:
-    """Everything a finished run reports: provenance, windows, summaries."""
+    """Everything a finished run reports: provenance and windows.  The phase
+    summaries are computed from the windows, so they cannot disagree."""
 
     policy: str
     mode: str
     seed: int
     config: dict[str, str]
     windows: list[MetricsWindow]
-    train: PhaseSummary
-    test: PhaseSummary
+
+    def _summary(self, phase: str) -> PhaseSummary:
+        """The count-weighted means of the phase's windows."""
+        ws = [w for w in self.windows if w.phase == phase]
+        n = sum(w.count for w in ws)
+        means = [
+            sum(getattr(w, f.name) * w.count for w in ws) / max(n, 1)
+            for f in dataclasses.fields(PhaseSummary)[2:]
+        ]
+        return PhaseSummary(phase, n, *means)
+
+    train = property(lambda self: self._summary("train"))
+    test = property(lambda self: self._summary("test"))
 
 
 # ---------------------------------------------------------------------------
 # report files
 
 _WINDOW_FIELDS = tuple(f.name for f in dataclasses.fields(MetricsWindow))
-_SUMMARY_MEANS = [f.name for f in dataclasses.fields(PhaseSummary)[2:]]
-
-
-def _summaries_from_windows(windows: list[MetricsWindow]) -> dict[str, PhaseSummary]:
-    """Phase summaries as count-weighted means of the phase's windows.
-
-    This is the one source of summaries: :func:`run_experiment` and
-    :func:`load_report` both call it, so a report read back from a file has
-    the summaries of the run that wrote it, bit for bit.
-    """
-    out = {}
-    for phase in ("train", "test"):
-        ws = [w for w in windows if w.phase == phase]
-        n = sum(w.count for w in ws)
-        means = [
-            sum(getattr(w, f) * w.count for w in ws) / max(n, 1) for f in _SUMMARY_MEANS
-        ]
-        out[phase] = PhaseSummary(phase, n, *means)
-    return out
 
 
 def emit_report(report: MetricsReport, path) -> None:
@@ -198,11 +182,8 @@ _TEXT_FIELDS = ("policy", "mode", "phase")
 
 
 def load_report(path) -> MetricsReport:
-    """Read a CSV report back; it equals the report that was written.
-
-    Window fields round-trip exactly, and the phase summaries are rebuilt
-    from them with :func:`_summaries_from_windows`, as the run built them.
-    """
+    """Read a CSV report back; it equals the report that was written, as
+    window fields round-trip exactly."""
     windows: list[MetricsWindow] = []
     meta = {"config": {}}
     header = None
@@ -233,10 +214,7 @@ def load_report(path) -> MetricsReport:
     for key in _META_FIELDS:
         if key not in meta:
             raise ParseError(f"{path}: missing '# {key} = ' line")
-    summaries = _summaries_from_windows(windows)
-    return MetricsReport(
-        **meta, windows=windows, train=summaries["train"], test=summaries["test"]
-    )
+    return MetricsReport(**meta, windows=windows)
 
 
 def _cells(pairs) -> dict:
@@ -315,12 +293,13 @@ def _slot_requests(cfg: ExperimentConfig) -> Callable[[int], list]:
 
 
 class _Deployment:
-    """One run's servers and requests; outcomes are logged to ``log_fh``."""
+    """One run's servers and requests; outcomes are logged to ``log_fh``,
+    if it is set."""
 
-    def __init__(self, cfg: ExperimentConfig, log_fh):
+    def __init__(self, cfg: ExperimentConfig):
         self.env = cfg.edge_env(cfg.servers)
         self.requests = _slot_requests(cfg)
-        self.log_fh = log_fh
+        self.log_fh = None
 
     def observe(self, group, features: bool) -> tuple:
         """Correlation sets for a group of (server, request) pairs, with the
@@ -373,8 +352,7 @@ class _Deployment:
                         buffer.begin_slot(feats, questions)
                     choices, probs = [], []
                     for (n, req), corr in zip(group, corrsets):
-                        ctx = DecisionContext(corr, req.question_vec, n, req.id)
-                        choice, prob = actor.decide(ctx)
+                        choice, prob = actor.decide(corr, req, n)
                         choices.append(choice)
                         probs.append(prob)
                 if mode == "broadcast":
@@ -409,7 +387,7 @@ def build_expert_demos(cfg: ExperimentConfig) -> DemoSet:
     """
     demo_seed = int(substream(cfg.seed, DOMAIN_DEMO).integers(2**31))
     demo_cfg = dataclasses.replace(cfg, workload_file=None, seed=demo_seed)
-    deployment = _Deployment(demo_cfg, log_fh=None)
+    deployment = _Deployment(demo_cfg)
     expert = PayoffGreedyPolicy(deployment.env)
     buffer = ExperienceBuffer(cfg.servers, cfg.min_agent_batch)
     deployment.play(range(cfg.demo_slots), "nearest", expert, buffer, None)
@@ -428,15 +406,17 @@ def build_expert_demos(cfg: ExperimentConfig) -> DemoSet:
 def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     """Execute one full seeded experiment and return its report.
 
-    ``cfg.transitions_out`` is opened before the first slot and receives one
-    row per outcome as it completes (N rows per broadcast request).
+    ``cfg.transitions_out`` is opened before the first slot, once a replay
+    workload has been read and checked, and receives one row per outcome as
+    it completes (N rows per broadcast request).
     """
     cfg.validate()
+    variant = resolve_policy(cfg.policy)
+    learned = isinstance(variant, AblationSpec)
+    deployment = _Deployment(cfg)
     log_fh = open(cfg.transitions_out, "w") if cfg.transitions_out else None
     with log_fh or contextlib.nullcontext():
-        variant = resolve_policy(cfg.policy)
-        learned = isinstance(variant, AblationSpec)
-        deployment = _Deployment(cfg, log_fh)
+        deployment.log_fh = log_fh
         buffer = None
         if learned:
             demos = build_expert_demos(cfg) if variant.use_demos else None
@@ -467,16 +447,12 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
         deployment.play(test_slots, cfg.mode, actor, None, acc_test)
         acc_test.flush()
 
-        windows = acc_train.windows + acc_test.windows
-        summaries = _summaries_from_windows(windows)
         return MetricsReport(
             policy=cfg.policy,
             mode=cfg.mode,
             seed=cfg.seed,
             config=cfg.flat_dict(),
-            windows=windows,
-            train=summaries["train"],
-            test=summaries["test"],
+            windows=acc_train.windows + acc_test.windows,
         )
 
 
@@ -590,19 +566,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_report_path(out: str, config_path: str, cfg: ExperimentConfig) -> None:
-    """Reject a ``--out`` path that is not a CSV report's or that names a
-    file the run reads or writes besides the report."""
-    if out.lower().endswith((".json", ".jsonl")):
-        raise ConfigError(f"--out {out}: reports are CSV; use a .csv path")
+def _check_output_path(
+    flag: str, path: str, config_path: str, cfg: ExperimentConfig
+) -> None:
+    """Reject an output ``path``, given with ``flag``, that names a file the
+    run reads or writes besides that output."""
     others = {
         "--config": config_path,
         "workload_file": cfg.workload_file,
         "transitions_out": cfg.transitions_out,
     }
     for name, other in others.items():
-        if other and os.path.realpath(other) == os.path.realpath(out):
-            raise ConfigError(f"--out {out} names the same file as {name}")
+        if other and os.path.realpath(other) == os.path.realpath(path):
+            raise ConfigError(f"{flag} {path} names the same file as {name}")
 
 
 def cli_main(argv=None) -> int:
@@ -625,8 +601,12 @@ def cli_main(argv=None) -> int:
         if args.mode is not None:
             cfg.mode = args.mode
         cfg.validate()
-        if args.out:
-            _check_report_path(args.out, args.config, cfg)
+        if args.out and args.out.lower().endswith((".json", ".jsonl")):
+            raise ConfigError(f"--out {args.out}: reports are CSV; use a .csv path")
+        outputs = {"--out": args.out, "--export-workload": args.export_workload}
+        for flag, path in outputs.items():
+            if path:
+                _check_output_path(flag, path, args.config, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -644,9 +624,11 @@ def cli_main(argv=None) -> int:
         print(f"wrote {count} requests to {args.export_workload}")
         return 0
 
+    created = False  # whether this run made the --out file
     try:
         if args.out:
             # Fail before the run, not after it, on an unwritable report path.
+            created = not os.path.lexists(args.out)
             open(args.out, "a").close()
         report = run_experiment(cfg)
         for phase in (report.train, report.test):
@@ -659,13 +641,17 @@ def cli_main(argv=None) -> int:
         if args.out:
             emit_report(report, args.out)
             print(f"report written to {args.out}")
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        code = 1
+    # A failed run leaves no report file behind, unless the file was there.
+    if created and os.path.lexists(args.out):
+        os.remove(args.out)
+    return code
 
 
 def main() -> None:

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from edgesched import baselines
 from edgesched.baselines import (
     ABLATIONS,
-    DecisionContext,
     LearnedPolicy,
     PayoffGreedyPolicy,
     RandomPolicy,
@@ -25,6 +24,7 @@ from edgesched.vecstore import (
     VectorRecord,
     VectorStore,
 )
+from edgesched.workload import Request
 
 
 def make_record(rid=0, kind=RecordKind.ANSWER, freq=0, value=-0.5, dim=8):
@@ -54,14 +54,13 @@ def make_env(n_servers=1, seed=0, **kw):
 
 
 def make_ctx(corr, server=0, request_id=0, q_dim=8):
+    """``decide``'s arguments: the set, a request from ``server``, the server."""
     q = np.zeros(q_dim)
     q[0] = 1.0
-    return DecisionContext(
-        corr=corr,
-        question_vec=q,
-        server=server,
-        request_id=request_id,
+    request = Request(
+        id=request_id, user=0, server=server, slot=0, question_vec=q, reference_vec=q
     )
+    return corr, request, server
 
 
 def fake_transition(server=0, resolved="B", r=-4.0):
@@ -82,24 +81,24 @@ def fake_transition(server=0, resolved="B", r=-4.0):
 class TestThresholdPolicy:
     def test_close_hit_uses_cache(self):
         pol = ThresholdPolicy(0.3)
-        choice, prob = pol.decide(make_ctx(corr_of(0.1, 0.5)))
+        choice, prob = pol.decide(*make_ctx(corr_of(0.1, 0.5)))
         assert choice.a == 0
         assert prob == 1.0
 
     def test_far_hit_goes_direct(self):
         pol = ThresholdPolicy(0.3)
-        choice, _ = pol.decide(make_ctx(corr_of(0.31)))
+        choice, _ = pol.decide(*make_ctx(corr_of(0.31)))
         assert choice.a == 1
 
     def test_boundary_is_inclusive(self):
         # distance exactly at the threshold still counts as a hit
         pol = ThresholdPolicy(0.3)
-        choice, _ = pol.decide(make_ctx(corr_of(0.3)))
+        choice, _ = pol.decide(*make_ctx(corr_of(0.3)))
         assert choice.a == 0
 
     def test_empty_set_goes_direct(self):
         pol = ThresholdPolicy(0.3)
-        choice, _ = pol.decide(make_ctx(corr_of()))
+        choice, _ = pol.decide(*make_ctx(corr_of()))
         assert choice.a == 1
 
     def test_threshold_must_be_positive(self):
@@ -120,9 +119,9 @@ class TestPayoffGreedy:
     def test_near_hit_beats_initial_estimate(self):
         # predicted = 10 * (-d - 0.081); crosses -4.84 at d = 0.403
         pol = PayoffGreedyPolicy(make_env())
-        choice, _ = pol.decide(make_ctx(corr_of(0.40)))
+        choice, _ = pol.decide(*make_ctx(corr_of(0.40)))
         assert choice.a == 0
-        choice, _ = pol.decide(make_ctx(corr_of(0.41)))
+        choice, _ = pol.decide(*make_ctx(corr_of(0.41)))
         assert choice.a == 1
 
     def test_crossover_distance(self):
@@ -134,15 +133,15 @@ class TestPayoffGreedy:
         )
         assert crossover == pytest.approx(0.403, abs=1e-12)
         eps = 1e-9
-        below, _ = pol.decide(make_ctx(corr_of(crossover - 1e-6)))
-        above, _ = pol.decide(make_ctx(corr_of(crossover + 1e-6)))
+        below, _ = pol.decide(*make_ctx(corr_of(crossover - 1e-6)))
+        above, _ = pol.decide(*make_ctx(corr_of(crossover + 1e-6)))
         assert below.a == 0
         assert above.a == 1
         assert eps < crossover  # the -1e-9 clamp never binds at the crossover
 
     def test_empty_set_goes_direct(self):
         pol = PayoffGreedyPolicy(make_env())
-        choice, _ = pol.decide(make_ctx(corr_of()))
+        choice, _ = pol.decide(*make_ctx(corr_of()))
         assert choice.a == 1
 
     def test_observe_tracks_direct_cloud_rewards_per_server(self):
@@ -170,17 +169,17 @@ class TestPayoffGreedy:
         # a glut of terrible cloud outcomes should make a mediocre hit tempting
         pol = PayoffGreedyPolicy(make_env())
         ctx = make_ctx(corr_of(0.6))
-        assert pol.decide(ctx)[0].a == 1
+        assert pol.decide(*ctx)[0].a == 1
         for _ in range(10):
             pol.observe(fake_transition(resolved="B", r=-9.0))
-        assert pol.decide(ctx)[0].a == 0
+        assert pol.decide(*ctx)[0].a == 0
 
     def test_custom_delay_model_moves_crossover(self):
         cheap_edge = DelayModel(edge_delay=0.2, cloud_delay=3.34)
         pol = PayoffGreedyPolicy(make_env(delay_model=cheap_edge))
         # crossover now at 0.484 - 0.02 = 0.464
-        assert pol.decide(make_ctx(corr_of(0.45)))[0].a == 0
-        assert pol.decide(make_ctx(corr_of(0.47)))[0].a == 1
+        assert pol.decide(*make_ctx(corr_of(0.45)))[0].a == 0
+        assert pol.decide(*make_ctx(corr_of(0.47)))[0].a == 1
 
     def test_custom_qos_settings_move_crossover(self):
         env = make_env(
@@ -194,8 +193,8 @@ class TestPayoffGreedy:
         # -4 (2 * 0.2 + 0.3 * 2.0) = -4 (2 d + 0.3 * 0.5) at d = 0.425
         assert pol.initial_estimate == env.reward(-0.2, 2.0)
         assert pol.initial_estimate == pytest.approx(-4.0)
-        assert pol.decide(make_ctx(corr_of(0.42)))[0].a == 0
-        assert pol.decide(make_ctx(corr_of(0.43)))[0].a == 1
+        assert pol.decide(*make_ctx(corr_of(0.42)))[0].a == 0
+        assert pol.decide(*make_ctx(corr_of(0.43)))[0].a == 1
 
 
 class TestRandomPolicy:
@@ -206,7 +205,7 @@ class TestRandomPolicy:
         pol = RandomPolicy(make_env(n_servers=servers, seed=seed))
         for rid in range(601):
             for n in range(servers):
-                choice, prob = pol.decide(make_ctx(corr_of(0.1), server=n, request_id=rid))
+                choice, prob = pol.decide(*make_ctx(corr_of(0.1), server=n, request_id=rid))
                 coin = substream(seed, DOMAIN_POLICY, rid, n).random() < 0.5
                 assert choice.a == (0 if coin else 1)
                 assert prob == 0.5
@@ -214,7 +213,7 @@ class TestRandomPolicy:
     def test_both_actions_occur(self):
         pol = RandomPolicy(make_env())
         actions = {
-            pol.decide(make_ctx(corr_of(0.1), request_id=i))[0].a for i in range(40)
+            pol.decide(*make_ctx(corr_of(0.1), request_id=i))[0].a for i in range(40)
         }
         assert actions == {0, 1}
 
@@ -233,10 +232,10 @@ class TestLearnedPolicy:
     def test_deterministic_matches_argmax(self):
         snap = self.make_snapshot()
         pol = LearnedPolicy(snap, make_env(query_width=5))
-        ctx = make_ctx(corr_of(0.1, 0.4))
-        feats = correlation_features(ctx.corr, 5)
-        dist = snap.action_probs(feats[None, :], ctx.question_vec[None, :])[0]
-        choice, prob = pol.decide(ctx)
+        corr, request, server = make_ctx(corr_of(0.1, 0.4))
+        feats = correlation_features(corr, 5)
+        dist = snap.action_probs(feats[None, :], request.question_vec[None, :])[0]
+        choice, prob = pol.decide(corr, request, server)
         assert choice.a == int(np.argmax(dist))
         assert prob == dist[choice.a]
 
@@ -258,18 +257,19 @@ class TestLearnedPolicy:
             CorrelationEntry(make_record(rid=i, freq=f, kind=RecordKind(1 + i % 2)), d)
             for i, (d, f) in enumerate(zip(sorted(dists), freqs))
         ]
-        ctx = make_ctx(CorrelationSet(entries), q_dim=8)
-        ctx.question_vec[:] = np.random.default_rng(seed).normal(size=8)
-        feats = correlation_features(ctx.corr, width)
-        dist = snap.action_probs(feats[None, :], ctx.question_vec[None, :])[0]
-        choice, prob = LearnedPolicy(snap, make_env(query_width=width)).decide(ctx)
+        corr, request, server = make_ctx(CorrelationSet(entries), q_dim=8)
+        request.question_vec[:] = np.random.default_rng(seed).normal(size=8)
+        feats = correlation_features(corr, width)
+        dist = snap.action_probs(feats[None, :], request.question_vec[None, :])[0]
+        policy = LearnedPolicy(snap, make_env(query_width=width))
+        choice, prob = policy.decide(corr, request, server)
         assert choice.a == int(np.argmax(dist))
         assert prob == dist[choice.a]
 
     def test_fresh_nets_split_evenly_and_pick_cache(self):
         # zero-initialized heads emit 0.5/0.5; argmax keeps the first index
         pol = LearnedPolicy(self.make_snapshot(), make_env(query_width=5))
-        choice, prob = pol.decide(make_ctx(corr_of(0.2)))
+        choice, prob = pol.decide(*make_ctx(corr_of(0.2)))
         assert choice.a == 0
         assert prob == pytest.approx(0.5)
 
@@ -281,13 +281,7 @@ class TestHeuristicDecisions:
         for pol in (ThresholdPolicy(0.3), PayoffGreedyPolicy(env), RandomPolicy(env)):
             for corr in (corr_of(), corr_of(0.01, 0.5), corr_of(0.9)):
                 for rid in range(6):
-                    ctx = DecisionContext(
-                        corr=corr,
-                        question_vec=np.eye(8)[0],
-                        server=rid % 2,
-                        request_id=rid,
-                    )
-                    choice, _ = pol.decide(ctx)
+                    choice, _ = pol.decide(*make_ctx(corr, server=rid % 2, request_id=rid))
                     assert choice is shared[choice.a]
 
     def test_shared_choices_are_frozen(self):

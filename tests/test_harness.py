@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 import edgesched
 from edgesched import baselines, harness, seeding, simenv
@@ -28,7 +28,6 @@ from edgesched.harness import (
     MetricsWindow,
     PhaseSummary,
     WindowAccumulator,
-    _summaries_from_windows,
     build_arg_parser,
     build_expert_demos,
     cli_main,
@@ -496,20 +495,117 @@ class TestWindowAccumulator:
         test_acc = WindowAccumulator("test", window_size=2, n_agents=1)
         test_acc.add(make_t(r=-7.0))
         test_acc.flush()
-        summaries = _summaries_from_windows(acc.windows + test_acc.windows)
-        s = summaries["train"]
+        report = MetricsReport("random", "nearest", 0, {}, acc.windows + test_acc.windows)
+        s = report.train
         assert [w.count for w in acc.windows] == [2, 1]
         assert (s.phase, s.requests) == ("train", 3)
         assert s.mean_reward == -2.0
         assert s.llm_direct_freq == 2 / 3
-        assert (summaries["test"].requests, summaries["test"].mean_reward) == (1, -7.0)
+        assert (report.test.requests, report.test.mean_reward) == (1, -7.0)
 
     def test_empty_summary(self):
         acc = WindowAccumulator("train", 5, 1)
         acc.add(make_t(r=-1.0))
         acc.flush()
-        s = _summaries_from_windows(acc.windows)["test"]
+        s = MetricsReport("random", "nearest", 0, {}, acc.windows).test
         assert s == PhaseSummary("test", 0, 0.0, 0.0, 0.0, 0.0)
+
+    # No shrink phase: shrinking a failure's 60 free floats took minutes.
+    @settings(max_examples=200, deadline=None, phases=set(Phase) - {Phase.shrink})
+    @given(data=st.data(), n_agents=st.integers(1, 4), window_size=st.integers(1, 7))
+    def test_windows_and_summaries_equal_the_plain_formulas(
+        self, data, n_agents, window_size
+    ):
+        # Some servers may never be served; each phase ends in a flush,
+        # which closes a partial tail window when there is one.
+        served = data.draw(st.sets(st.integers(0, n_agents - 1), min_size=1))
+        value = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+        transition = st.builds(
+            make_t, server=st.sampled_from(sorted(served)), q=value, d=value, r=value,
+            resolved=st.sampled_from("ABC"),
+        )
+        windows, expected = [], []
+        for phase in ("train", "test"):
+            stream = data.draw(st.lists(transition, max_size=30))
+            acc = WindowAccumulator(phase, window_size, n_agents)
+            ref = RunningSumWindows(phase, window_size, n_agents)
+            for t in stream:
+                assert acc.add(t) == ref.add(t)
+            assert acc.flush() == ref.flush()
+            assert acc.windows == ref.windows
+            windows += acc.windows
+            expected.append(ref.windows)
+        report = MetricsReport("random", "nearest", 0, {}, windows)
+        assert report.train == count_weighted_summary("train", expected[0])
+        assert report.test == count_weighted_summary("test", expected[1])
+
+
+class RunningSumWindows:
+    """The reference for :class:`WindowAccumulator`: windows kept as running
+    sums, the arithmetic reports were computed with before windows were
+    computed from their transitions."""
+
+    def __init__(self, phase, window_size, n_agents):
+        self.phase = phase
+        self.window_size = window_size
+        self.n_agents = n_agents
+        self.windows = []
+        self._reset()
+
+    def _reset(self):
+        self._count = 0
+        self._r = 0.0
+        self._q = 0.0
+        self._d = 0.0
+        self._direct = 0
+        self._agent_r = np.zeros(self.n_agents)
+        self._agent_n = np.zeros(self.n_agents, dtype=int)
+
+    def add(self, t):
+        self._count += 1
+        self._r += t.r
+        self._q += t.q
+        self._d += t.d
+        self._direct += t.resolved == "B"
+        self._agent_r[t.server] += t.r
+        self._agent_n[t.server] += 1
+        if self._count == self.window_size:
+            return self._close()
+        return None
+
+    def _close(self):
+        active = self._agent_n > 0
+        if active.sum() > 1:
+            means = self._agent_r[active] / self._agent_n[active]
+            variance = float(np.var(means))
+        else:
+            variance = 0.0
+        win = MetricsWindow(
+            phase=self.phase,
+            index=len(self.windows),
+            count=self._count,
+            mean_reward=self._r / self._count,
+            mean_satisfaction=self._q / self._count,
+            mean_delay=self._d / self._count,
+            llm_direct_freq=self._direct / self._count,
+            reward_variance=variance,
+        )
+        self.windows.append(win)
+        self._reset()
+        return win
+
+    def flush(self):
+        if self._count:
+            return self._close()
+        return None
+
+
+def count_weighted_summary(phase, windows):
+    """A phase summary as the count-weighted means of the phase's windows."""
+    n = sum(w.count for w in windows)
+    fields = ("mean_reward", "mean_satisfaction", "mean_delay", "llm_direct_freq")
+    means = [sum(getattr(w, f) * w.count for w in windows) / max(n, 1) for f in fields]
+    return PhaseSummary(phase, n, *means)
 
 
 def sample_report():
@@ -528,16 +624,12 @@ def sample_report():
                 reward_variance=float(rng.random() * 0.1),
             )
         )
-    train = PhaseSummary("train", 10, -4.0, -0.1, 2.0, 0.5)
-    test = PhaseSummary("test", 5, -3.0, -0.1, 1.5, 0.4)
     return MetricsReport(
         policy="greedy-0.3",
         mode="nearest",
         seed=42,
         config={"experiment.seed": "42", "env.tau_serve": "0.15"},
         windows=windows,
-        train=train,
-        test=test,
     )
 
 
@@ -757,9 +849,9 @@ class TestFeaturePath:
         decided = []
         real_decide = LearnedPolicy.decide
 
-        def decide(policy, ctx):
+        def decide(policy, corr, request, server):
             decided.append(len(calls))
-            out = real_decide(policy, ctx)
+            out = real_decide(policy, corr, request, server)
             assert len(calls) == decided[-1] + 1  # its own features, once
             return out
 
@@ -850,6 +942,17 @@ class TestWorkloadReplay:
         save_workload(bad, reqs)
         with pytest.raises(ConfigError, match=f"slot {missing} is missing"):
             run_experiment(dataclasses.replace(cfg, workload_file=str(bad)))
+
+    def test_failed_replay_check_opens_no_log(self, tmp_path):
+        cfg = tiny_cfg()
+        reqs = load_workload(self.export(tmp_path, cfg), dim=cfg.dim)
+        gap = tmp_path / "gap.jsonl"
+        save_workload(gap, [r for r in reqs if r.slot != 3])
+        log = tmp_path / "log.jsonl"
+        cfg = dataclasses.replace(cfg, workload_file=str(gap), transitions_out=str(log))
+        with pytest.raises(ConfigError, match="slot 3 is missing"):
+            run_experiment(cfg)
+        assert not log.exists()
 
     def test_server_index_out_of_range(self, tmp_path):
         cfg = tiny_cfg()
@@ -1065,6 +1168,36 @@ class TestCli:
         assert err.startswith("error:")
         assert f"{wl}: line {len(lines)}: id:" in err
 
+    @pytest.mark.parametrize(
+        "fault, code, earlier",
+        [("gap", 2, None), ("bad-row", 1, None), ("gap", 2, b"an earlier report\n")],
+        ids=["gap-new-out", "bad-row-new-out", "gap-old-out"],
+    )
+    def test_failed_run_leaves_no_report_it_made(
+        self, tmp_path, capsys, fault, code, earlier
+    ):
+        wl = tmp_path / "wl.jsonl"
+        argv = ["--config", str(self.write_cfg(tmp_path)), "--export-workload", str(wl)]
+        assert cli_main(argv) == 0
+        lines = wl.read_text().splitlines()
+        if fault == "gap":
+            lines = [l for l in lines if json.loads(l)["slot"] != 3]
+        else:
+            lines[-1] = json.dumps({**json.loads(lines[-1]), "id": -1})
+        wl.write_text("\n".join(lines) + "\n")
+        text = CLI_INI.replace("topics = 40", f"topics = 40\nworkload_file = {wl}")
+        out = tmp_path / "rep.csv"
+        if earlier is not None:
+            out.write_bytes(earlier)
+        capsys.readouterr()
+        argv = ["--config", str(self.write_cfg(tmp_path, text)), "--out", str(out)]
+        assert cli_main(argv) == code
+        assert capsys.readouterr().err.startswith("config error:" if code == 2 else "error:")
+        if earlier is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == earlier
+
     @pytest.mark.parametrize("name", ["r.jsonl", "r.json", "R.JSONL"])
     def test_json_report_path_exits_2_before_the_run(
         self, tmp_path, capsys, monkeypatch, name
@@ -1099,17 +1232,23 @@ class TestCli:
         assert os.listdir(tmp_path) == ["exp.ini"]
 
     @pytest.mark.parametrize(
-        "out, log",
+        "flag, out, log",
         [
-            ("./exp.ini", "run.log"),
-            ("wl.replay", "run.log"),
-            ("{tmp}/run.log", "run.log"),
-            ("r.csv", "./wl.replay"),
+            ("--out", "./exp.ini", "run.log"),
+            ("--out", "wl.replay", "run.log"),
+            ("--out", "{tmp}/run.log", "run.log"),
+            ("--out", "r.csv", "./wl.replay"),
+            ("--export-workload", "./exp.ini", "run.log"),
+            ("--export-workload", "wl.replay", "run.log"),
+            ("--export-workload", "{tmp}/run.log", "run.log"),
         ],
-        ids=["out-config", "out-workload", "out-log", "log-workload"],
+        ids=[
+            "out-config", "out-workload", "out-log", "log-workload",
+            "export-config", "export-workload", "export-log",
+        ],
     )
     def test_output_over_a_run_file_exits_2_before_the_run(
-        self, tmp_path, capsys, monkeypatch, out, log
+        self, tmp_path, capsys, monkeypatch, flag, out, log
     ):
         def slot_loop(*args, **kwargs):
             raise AssertionError("slot loop entered with an output over a run file")
@@ -1125,9 +1264,12 @@ class TestCli:
         monkeypatch.setattr(harness._Deployment, "play", slot_loop)
         monkeypatch.chdir(tmp_path)
         capsys.readouterr()
-        assert cli_main(["--config", str(p), "--out", out.format(tmp=tmp_path)]) == 2
+        out = out.format(tmp=tmp_path)
+        assert cli_main(["--config", str(p), flag, out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "same file as" in err
+        if out != "r.csv":  # the clash is the output's, not the log's
+            assert err.startswith(f"config error: {flag} {out} names the same file as")
         assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("fault", ["directory", "non-utf8", "seed-flag", "seed-ini"])

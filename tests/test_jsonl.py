@@ -156,7 +156,7 @@ def write_report(path):
         MetricsWindow(phase, 0, 5, -4.0 + i, -0.1, 2.0, 0.4, 0.01)
         for i, phase in enumerate(("train", "test"))
     ]
-    report = MetricsReport("greedy-0.3", "nearest", 42, {"a.b": "1"}, windows, None, None)
+    report = MetricsReport("greedy-0.3", "nearest", 42, {"a.b": "1"}, windows)
     emit_report(report, path)
 
 
