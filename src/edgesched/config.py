@@ -103,8 +103,8 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         """Check every setting before a run: the run's own rules here, and
         each component's by building the components as a run builds them."""
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**63:
+            raise ConfigError(f"seed must lie in [0, 2**63), got {self.seed}")
         if self.servers < 1:
             raise ConfigError(f"servers must be >= 1, got {self.servers}")
         if self.dim < 8:
@@ -119,9 +119,9 @@ class ExperimentConfig:
             path = getattr(self, name)
             if path and any(c in path for c in "\n\r\0"):
                 raise ConfigError(f"{name} must be one line without NUL, got {path!r}")
-        paths = (self.workload_file, self.transitions_out)
-        if all(paths) and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
-            raise ConfigError("transitions_out names the same file as workload_file")
+        log, wl = self.transitions_out, self.workload_file
+        if log and wl and os.path.realpath(log) == os.path.realpath(wl):
+            raise ConfigError(f"transitions_out {log} names the same file as workload_file")
         variant = resolve_policy(self.policy)
         learned = isinstance(variant, AblationSpec)
         if learned and variant.use_demos and self.demo_slots < 1:

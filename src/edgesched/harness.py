@@ -45,7 +45,6 @@ from .marl import (
 )
 from .seeding import DOMAIN_DEMO, substream
 from .simenv import ActionChoice, Transition
-from .vecstore import VectorStore
 from .workload import WorkloadGenerator, generate_topics, load_workload, save_workload
 
 log = logging.getLogger(__name__)
@@ -245,9 +244,9 @@ def _window_from(where: str, row: dict) -> MetricsWindow:
 
 def _slot_requests(cfg: ExperimentConfig) -> Callable[[int], list]:
     """``requests(slot)``: the slot's requests in server order, drawn from the
-    generator or read from a replay file.  A file's slots must be numbered
-    0, 1, 2, ... and hold one request per server; they are checked, grouped
-    and sorted here, once."""
+    generator or read from a replay file.  A file's request ids must be
+    unique and its slots numbered 0, 1, 2, ..., each holding one request
+    per server; they are checked, grouped and sorted here, once."""
     if not cfg.workload_file:
         topics = generate_topics(cfg.topics, cfg.dim, cfg.seed)
         return WorkloadGenerator(
@@ -264,6 +263,12 @@ def _slot_requests(cfg: ExperimentConfig) -> Callable[[int], list]:
             f"{cfg.workload_file}: request server index exceeds "
             f"configured servers ({cfg.servers})"
         )
+    # Every per-request draw is keyed by the request's id.
+    ids = set()
+    for r in requests:
+        if r.id in ids:
+            raise ConfigError(f"{cfg.workload_file}: request id {r.id} is repeated")
+        ids.add(r.id)
     slots: dict[int, list] = {}
     for r in sorted(requests, key=lambda r: r.server):
         slots.setdefault(r.slot, []).append(r)
@@ -457,84 +462,6 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
 
 
 # ---------------------------------------------------------------------------
-# self-checks
-
-
-def run_invariant_checks(out=sys.stdout) -> bool:
-    """Fast deterministic self-diagnostics; True when everything passes."""
-    from .nn.gradcheck import finite_difference_grads, gradient_relative_error
-    from .nn.models import MlpNet
-    from .nn.params import ParamSet
-    from .marl import compute_gae
-    from .simenv import reward, qos_cost
-    from .vecstore import IvfIndex
-
-    ok = True
-
-    def check(name: str, passed: bool):
-        nonlocal ok
-        ok = ok and passed
-        print(f"{'ok' if passed else 'FAIL'}: {name}", file=out)
-
-    # Reward is exactly the negated, scaled QoS cost.
-    r = reward(-0.2, 1.5, 1.0, 0.1, 10.0)
-    check("reward equals -scale * qos_cost", r == -10.0 * qos_cost(-0.2, 1.5, 1.0, 0.1))
-
-    # GAE on a hand-solvable two-step segment: deltas are both 1, so the
-    # earlier advantage carries gamma * lambda * 1 on top of its delta.
-    adv = compute_gae(np.array([1.0, 1.0]), np.array([0.0, 0.0]), 0.0, 0.5, 1.0)
-    check("gae matches hand computation", np.allclose(adv, [1.5, 1.0]))
-
-    # Gradients of a tiny MLP agree with finite differences.
-    net = MlpNet(3, (4,), 2, prefix="t", zero_final=False)
-    rng = np.random.default_rng(0)
-    params = ParamSet(net.init_params(rng))
-    x = rng.normal(size=(5, 3))
-    w = rng.normal(size=(5, 2))
-
-    def loss_of(p: ParamSet) -> float:
-        y, _ = net.forward(p, x)
-        return float((w * y).sum())
-
-    y, cache = net.forward(params, x)
-    _, grads = net.backward(params, cache, w)
-    numeric = finite_difference_grads(loss_of, params, step=1e-5)
-    err = gradient_relative_error(grads, numeric)
-    check(f"mlp gradients match finite differences (rel err {err:.2e})", err < 1e-6)
-
-    # Store round-trip through search.
-    store = VectorStore(dim=8, nlist=1, seed=1)
-    v = np.zeros(8)
-    v[0] = 1.0
-    store.insert_qa(v, -v, slot=0, initial_cache_value=-1.0)
-    hit = store.query(v, 1).best()
-    check("store returns an inserted vector exactly", hit is not None and hit.distance == 0.0)
-
-    # The IVF probe's guarded matrix-vector ranking takes the lists the exact
-    # stable walk takes: on a seeded 128-list store, and on a copy whose
-    # nearest centroid is duplicated, where the guard must fall back.
-    store = VectorStore(dim=16, nlist=128, seed=2)
-    rng = np.random.default_rng(2)
-    vecs = rng.normal(size=(600, 16))
-    for q, a in zip(vecs[0::2], vecs[1::2]):
-        store.insert_qa(q, a, slot=0, initial_cache_value=-1.0)
-    index = store.rebuild_index()
-    queries = rng.normal(size=(40, 16))
-    agree = index.nlist == 128 and all(
-        sorted(index.probe_order(q, t)) == sorted(index._exact_probe(q, t))
-        for q in queries
-        for t in (10, 60, len(store) + 1)
-    )
-    twin = IvfIndex(np.vstack([index.centroids[:1], index.centroids]), [[], *index.lists])
-    q = index.centroids[0]
-    forced = twin._ranked_probe(q, 10) is None
-    agree = agree and forced and twin.probe_order(q, 10) == twin._exact_probe(q, 10)
-    check("ivf probe sets equal the exact walk, with one forced fallback", agree)
-
-    return ok
-
-
-# ---------------------------------------------------------------------------
 # CLI
 
 
@@ -558,38 +485,31 @@ def build_arg_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="generate the configured workload, write it as JSON lines, and exit",
     )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="run built-in invariant self-checks and exit",
-    )
     return parser
 
 
 def _check_output_path(
-    flag: str, path: str, config_path: str, cfg: ExperimentConfig
+    name: str, path: str, config_path: str, cfg: ExperimentConfig
 ) -> None:
-    """Reject an output ``path``, given with ``flag``, that names a file the
+    """Reject an output ``path``, given as ``name``, that names a file the
     run reads or writes besides that output."""
     others = {
         "--config": config_path,
         "workload_file": cfg.workload_file,
         "transitions_out": cfg.transitions_out,
     }
-    for name, other in others.items():
+    others.pop(name, None)
+    for other_name, other in others.items():
         if other and os.path.realpath(other) == os.path.realpath(path):
-            raise ConfigError(f"{flag} {path} names the same file as {name}")
+            raise ConfigError(f"{name} {path} names the same file as {other_name}")
 
 
 def cli_main(argv=None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
 
-    if args.check:
-        return 0 if run_invariant_checks() else 1
-
     if not args.config:
-        print("error: --config is required (or use --check)", file=sys.stderr)
+        print("error: --config is required", file=sys.stderr)
         return 2
 
     try:
@@ -603,10 +523,14 @@ def cli_main(argv=None) -> int:
         cfg.validate()
         if args.out and args.out.lower().endswith((".json", ".jsonl")):
             raise ConfigError(f"--out {args.out}: reports are CSV; use a .csv path")
-        outputs = {"--out": args.out, "--export-workload": args.export_workload}
-        for flag, path in outputs.items():
+        outputs = {
+            "transitions_out": cfg.transitions_out,
+            "--out": args.out,
+            "--export-workload": args.export_workload,
+        }
+        for name, path in outputs.items():
             if path:
-                _check_output_path(flag, path, args.config, cfg)
+                _check_output_path(name, path, args.config, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -3,10 +3,10 @@
 import dataclasses
 import functools
 import inspect
-import io
 import json
 import os
 import re
+import shlex
 import shutil
 import string
 import subprocess
@@ -34,7 +34,6 @@ from edgesched.harness import (
     emit_report,
     load_report,
     run_experiment,
-    run_invariant_checks,
 )
 from edgesched.marl import Trainer, TrainerConfig
 from edgesched.nn import EncoderConfig
@@ -184,6 +183,7 @@ class TestConfigValidation:
             ("topics", 1),
             ("policy", "nope"),
             ("seed", -1),
+            ("seed", 2**63),
             ("nlist", 0),
             ("min_candidates", 0),
             ("rebuild_every", 0),
@@ -954,6 +954,20 @@ class TestWorkloadReplay:
             run_experiment(cfg)
         assert not log.exists()
 
+    def test_repeated_request_id_fails_before_the_run(self, tmp_path, monkeypatch):
+        def slot_loop(*args, **kwargs):
+            raise AssertionError("slot loop entered with repeated request ids")
+
+        monkeypatch.setattr(harness._Deployment, "play", slot_loop)
+        cfg = tiny_cfg()
+        reqs = load_workload(self.export(tmp_path, cfg), dim=cfg.dim)
+        for r in reqs:
+            r.id = 0
+        same = tmp_path / "same-ids.jsonl"
+        save_workload(same, reqs)
+        with pytest.raises(ConfigError, match=re.escape(f"{same}: request id 0 is repeated")):
+            run_experiment(dataclasses.replace(cfg, workload_file=str(same)))
+
     def test_server_index_out_of_range(self, tmp_path):
         cfg = tiny_cfg()
         path = self.export(tmp_path, cfg)
@@ -1021,15 +1035,6 @@ class TestExpertDemos:
         assert a.windows == b.windows
 
 
-class TestInvariantChecks:
-    def test_all_pass(self):
-        out = io.StringIO()
-        assert run_invariant_checks(out) is True
-        text = out.getvalue()
-        assert "FAIL" not in text
-        assert text.count("ok:") == 5
-
-
 CLI_INI = """
 [experiment]
 seed = 3
@@ -1061,10 +1066,7 @@ class TestCli:
         p.write_text(text)
         return p
 
-    def test_check_flag(self):
-        assert cli_main(["--check"]) == 0
-
-    def test_console_script_check(self, tmp_path):
+    def test_console_script_runs(self, tmp_path):
         # the packaged entry point, run from the checkout the way pip's
         # generated wrapper runs it, so no install is needed
         try:
@@ -1086,24 +1088,26 @@ class TestCli:
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(src), env.get("PYTHONPATH")])
         )
+        self.write_cfg(tmp_path)
         proc = subprocess.run(
-            [sys.executable, "-c", wrapper, "--check"],
+            [sys.executable, "-c", wrapper, "--config", "exp.ini", "--out", "r.csv"],
             capture_output=True, text=True, cwd=tmp_path, env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        assert "ok:" in proc.stdout
-        assert "FAIL" not in proc.stdout
+        assert load_report(tmp_path / "r.csv").policy == "random"
 
     @pytest.mark.skipif(
         shutil.which("edgesched") is None,
         reason="edgesched console script not on PATH",
     )
-    def test_installed_console_script(self):
-        exe = shutil.which("edgesched")
-        proc = subprocess.run([exe, "--check"], capture_output=True, text=True)
-        assert proc.returncode == 0
-        assert "ok:" in proc.stdout
-        assert "FAIL" not in proc.stdout
+    def test_installed_console_script(self, tmp_path):
+        self.write_cfg(tmp_path)
+        proc = subprocess.run(
+            [shutil.which("edgesched"), "--config", "exp.ini", "--out", "r.csv"],
+            capture_output=True, text=True, cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert load_report(tmp_path / "r.csv").policy == "random"
 
     def test_missing_config_argument(self, capsys):
         assert cli_main([]) == 2
@@ -1238,12 +1242,13 @@ class TestCli:
             ("--out", "wl.replay", "run.log"),
             ("--out", "{tmp}/run.log", "run.log"),
             ("--out", "r.csv", "./wl.replay"),
+            ("--out", "r.csv", "./exp.ini"),
             ("--export-workload", "./exp.ini", "run.log"),
             ("--export-workload", "wl.replay", "run.log"),
             ("--export-workload", "{tmp}/run.log", "run.log"),
         ],
         ids=[
-            "out-config", "out-workload", "out-log", "log-workload",
+            "out-config", "out-workload", "out-log", "log-workload", "log-config",
             "export-config", "export-workload", "export-log",
         ],
     )
@@ -1270,6 +1275,8 @@ class TestCli:
         assert err.startswith("config error:") and "same file as" in err
         if out != "r.csv":  # the clash is the output's, not the log's
             assert err.startswith(f"config error: {flag} {out} names the same file as")
+        else:
+            assert err.startswith(f"config error: transitions_out {log} names the same file as")
         assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("fault", ["directory", "non-utf8", "seed-flag", "seed-ini"])
@@ -1380,6 +1387,12 @@ class TestCli:
         actions = build_arg_parser()._actions
         options = {o for a in actions for o in a.option_strings} - {"-h", "--help"}
         assert sorted(listed) == sorted(options)
+        # every command of the Quick start parses
+        quick = readme.split("## Quick start\n\n```\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line) for line in quick.splitlines()]
+        assert commands and all(c[0] == "edgesched" for c in commands)
+        for command in commands:
+            build_arg_parser().parse_args(command[1:])
 
     def test_export_workload(self, tmp_path, capsys):
         p = self.write_cfg(tmp_path)

@@ -106,23 +106,27 @@ class TestQuery:
         store = make_store(dim=8)
         fill(store, 30, seed=2)
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            qvec = random_unit(rng, 8)
+        stored = [r.vec for r in store.records()][::7]
+        for qvec in [random_unit(rng, 8) for _ in range(20)] + stored:
             got = store.exact_knn(qvec, 7)
             want = self.brute_force(store, qvec, 7)
             assert [(e.record.rid, e.distance) for e in got] == want
+        for qvec in stored:  # an inserted vector comes back exactly
+            assert store.exact_knn(qvec, 7)[0].distance == 0.0
 
     def test_nlist_one_is_exact_scan(self):
         exact = make_store(dim=8, nlist=1, seed=4)
         fill(exact, 40, seed=5)
         rng = np.random.default_rng(6)
-        for _ in range(25):
-            qvec = random_unit(rng, 8)
+        stored = [r.vec for r in exact.records()][::9]
+        for qvec in [random_unit(rng, 8) for _ in range(25)] + stored:
             via_index = exact.query(qvec, 6)
             via_scan = exact.exact_knn(qvec, 6)
             assert [(e.record.rid, e.distance) for e in via_index] == [
                 (e.record.rid, e.distance) for e in via_scan
             ]
+        for qvec in stored:  # an inserted vector comes back exactly
+            assert exact.query(qvec, 6)[0].distance == 0.0
 
     def test_query_on_empty_store(self):
         store = make_store()
