@@ -57,7 +57,7 @@ def main():
           "similarity + 0.1 * use count\n")
 
     print("== cache-value recurrence ==")
-    rec = corr.best().record
+    rec = corr[0].record
     print(f"record {rec.rid} starts at cache value {rec.cache_value:.3f}")
     for q_score, d in ((-0.10, 0.8), (-0.05, 0.8)):
         store.update_cache_value(rec, q=q_score, d=d)

@@ -32,8 +32,8 @@ from .baselines import (
     PayoffGreedyPolicy,
     resolve_policy,
 )
-from .config import ExperimentConfig, load_config
-from .errors import ConfigError, ParseError
+from .config import MODES, ExperimentConfig, load_config
+from .errors import ConfigError, GradientError, ParseError
 from .marl import (
     CORR_ROWS,
     DemoSet,
@@ -161,7 +161,15 @@ _WINDOW_FIELDS = tuple(f.name for f in dataclasses.fields(MetricsWindow))
 
 
 def emit_report(report: MetricsReport, path) -> None:
-    """Write a report as CSV: provenance comment lines, then the window rows."""
+    """Write a report as CSV: provenance comment lines, then the window rows.
+    A window value that is not finite raises ValueError before the file opens."""
+    for w in report.windows:
+        for f in _WINDOW_FIELDS[3:]:
+            if not np.isfinite(getattr(w, f)):
+                raise ValueError(
+                    f"{w.phase} window {w.index}: {f} is {getattr(w, f)}; "
+                    "a report holds finite values only"
+                )
     with open(path, "w", newline="") as fh:
         fh.write("# edgesched-report v1\n")
         fh.write(f"# policy = {report.policy}\n")
@@ -476,11 +484,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--policy",
         help=f"override the scheduling policy ({', '.join(POLICY_NAMES)})",
     )
-    parser.add_argument(
-        "--mode", choices=("nearest", "broadcast"), help="test-phase routing mode"
-    )
-    parser.add_argument("--out", help="CSV report file")
-    parser.add_argument(
+    parser.add_argument("--mode", choices=MODES, help="test-phase routing mode")
+    target = parser.add_mutually_exclusive_group()
+    target.add_argument("--out", help="CSV report file")
+    target.add_argument(
         "--export-workload",
         metavar="PATH",
         help="generate the configured workload, write it as JSON lines, and exit",
@@ -549,6 +556,7 @@ def cli_main(argv=None) -> int:
         return 0
 
     created = False  # whether this run made the --out file
+    code = 1  # until the run succeeds
     try:
         if args.out:
             # Fail before the run, not after it, on an unwritable report path.
@@ -565,16 +573,17 @@ def cli_main(argv=None) -> int:
         if args.out:
             emit_report(report, args.out)
             print(f"report written to {args.out}")
-        return 0
+        code = 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         code = 2
-    except (ParseError, OSError) as exc:
+    except (ValueError, GradientError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        code = 1
-    # A failed run leaves no report file behind, unless the file was there.
-    if created and os.path.lexists(args.out):
-        os.remove(args.out)
+    finally:
+        # A failed run of any kind, an interrupt included, leaves no report
+        # file behind, unless the file was there.
+        if code and created and os.path.lexists(args.out):
+            os.remove(args.out)
     return code
 
 

@@ -116,9 +116,7 @@ class CorrelationSet:
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
+    def __getitem__(self, i: int) -> CorrelationEntry:
         h = self.hits
         record = VectorRecord(
             int(h.rid[i]),
@@ -130,10 +128,6 @@ class CorrelationSet:
             int(h.pair_id[i]),
         )
         return CorrelationEntry(record, float(h.distance[i]))
-
-    def best(self) -> CorrelationEntry | None:
-        """Nearest entry, or None when empty."""
-        return self[0] if len(self) else None
 
     def nearest_distance(self) -> float | None:
         """The nearest hit's distance, or None when empty; builds no record."""
@@ -288,10 +282,6 @@ class IvfIndex:
         self.sq_norms = (centroids * centroids).sum(axis=1)
         self.neg2c = -2.0 * centroids
         self._max_sq = float(self.sq_norms.max())
-
-    @property
-    def nlist(self) -> int:
-        return self.centroids.shape[0]
 
     def add(self, row: int, vec: np.ndarray) -> None:
         """Assign one new row to its nearest list."""

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import importlib
 import inspect
 import json
 import os
@@ -22,7 +23,7 @@ import edgesched
 from edgesched import baselines, harness, seeding, simenv
 from edgesched.baselines import LearnedPolicy, resolve_policy
 from edgesched.config import ExperimentConfig, load_config
-from edgesched.errors import ConfigError, ParseError
+from edgesched.errors import ConfigError, GradientError, ParseError
 from edgesched.harness import (
     MetricsReport,
     MetricsWindow,
@@ -1393,6 +1394,70 @@ class TestCli:
         assert commands and all(c[0] == "edgesched" for c in commands)
         for command in commands:
             build_arg_parser().parse_args(command[1:])
+
+    def test_readme_dotted_names_resolve(self):
+        # every edgesched.<dotted.name> in README: the longest prefix that
+        # imports as a module, then attributes for the rest
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        names = sorted(set(re.findall(r"\bedgesched(?:\.[A-Za-z_]\w*)+", readme)))
+        assert "edgesched.simenv.Transition" in names
+        for name in names:
+            parts = name.split(".")
+            for cut in range(len(parts), 0, -1):
+                try:
+                    obj = importlib.import_module(".".join(parts[:cut]))
+                    break
+                except ModuleNotFoundError as exc:
+                    assert exc.name == ".".join(parts[:cut]), exc
+            for attr in parts[cut:]:
+                assert hasattr(obj, attr), f"README names {name}: no {attr}"
+                obj = getattr(obj, attr)
+
+    def test_out_with_export_workload_exits_2_before_writing(self, tmp_path, capsys):
+        argv = [
+            "--config", str(self.write_cfg(tmp_path)),
+            "--out", str(tmp_path / "r.csv"),
+            "--export-workload", str(tmp_path / "wl.jsonl"),
+        ]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["exp.ini"]
+
+    def test_non_finite_report_exits_1_and_leaves_no_report(self, tmp_path, capsys):
+        # rewards overflow to -inf; one server, so np.var sees no inf means
+        text = CLI_INI.replace("policy = random", "policy = greedy-0.3")
+        text = text.replace("servers = 2\nusers = 4", "servers = 1\nusers = 1")
+        text = text.replace("train_slots = 8\ntest_slots = 4", "train_slots = 20\ntest_slots = 5")
+        text = text.replace("[env]\n", "[env]\nreward_scale = 1e308\ndelay_weight = 1e308\n")
+        out = tmp_path / "r.csv"
+        assert cli_main(["--config", str(self.write_cfg(tmp_path, text)), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "mean reward -inf" in captured.out
+        assert captured.err.startswith("error: train window 0: mean_reward is -inf")
+        assert os.listdir(tmp_path) == ["exp.ini"]
+
+    @pytest.mark.parametrize(
+        "fault", [GradientError("non-finite gradient"), KeyboardInterrupt()],
+        ids=["gradient", "interrupt"],
+    )
+    def test_runtime_failure_leaves_no_report_it_made(
+        self, tmp_path, capsys, monkeypatch, fault
+    ):
+        def run(cfg):
+            raise fault
+
+        monkeypatch.setattr(harness, "run_experiment", run)
+        out = tmp_path / "r.csv"
+        argv = ["--config", str(self.write_cfg(tmp_path)), "--out", str(out)]
+        if isinstance(fault, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                cli_main(argv)
+        else:
+            assert cli_main(argv) == 1
+            assert capsys.readouterr().err == "error: non-finite gradient\n"
+        assert os.listdir(tmp_path) == ["exp.ini"]
 
     def test_export_workload(self, tmp_path, capsys):
         p = self.write_cfg(tmp_path)

@@ -160,6 +160,18 @@ def write_report(path):
     emit_report(report, path)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", ["mean_reward", "reward_variance"])
+def test_non_finite_window_value_is_refused_before_the_file_opens(tmp_path, field, value):
+    window = MetricsWindow("test", 3, 5, -4.0, -0.1, 2.0, 0.4, 0.01)
+    setattr(window, field, value)
+    report = MetricsReport("greedy-0.3", "nearest", 42, {}, [window])
+    path = tmp_path / "r.csv"
+    with pytest.raises(ValueError, match=f"^test window 3: {field} is {value}; "):
+        emit_report(report, path)
+    assert not path.exists()
+
+
 READERS = {
     "workload": (write_workload, "w.jsonl", lambda p: load_workload(p, dim=DIM)),
     "report-csv": (write_report, "r.csv", load_report),
