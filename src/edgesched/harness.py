@@ -161,8 +161,14 @@ _WINDOW_FIELDS = tuple(f.name for f in dataclasses.fields(MetricsWindow))
 
 
 def emit_report(report: MetricsReport, path) -> None:
-    """Write a report as CSV: provenance comment lines, then the window rows.
-    A window value that is not finite raises ValueError before the file opens."""
+    """Write a report as CSV to ``path``, which changes only if it succeeds."""
+    with jsonl.replacing(path) as fh:
+        _write_report(report, fh)
+
+
+def _write_report(report: MetricsReport, fh) -> None:
+    """Provenance comment lines, then the window rows.  A window value that
+    is not finite raises ValueError before anything is written."""
     for w in report.windows:
         for f in _WINDOW_FIELDS[3:]:
             if not np.isfinite(getattr(w, f)):
@@ -170,17 +176,16 @@ def emit_report(report: MetricsReport, path) -> None:
                     f"{w.phase} window {w.index}: {f} is {getattr(w, f)}; "
                     "a report holds finite values only"
                 )
-    with open(path, "w", newline="") as fh:
-        fh.write("# edgesched-report v1\n")
-        fh.write(f"# policy = {report.policy}\n")
-        fh.write(f"# mode = {report.mode}\n")
-        fh.write(f"# seed = {report.seed}\n")
-        for key, value in sorted(report.config.items()):
-            fh.write(f"# config {key} = {value}\n")
-        writer = csv.writer(fh)
-        writer.writerow(_WINDOW_FIELDS)
-        for w in report.windows:
-            writer.writerow([str(getattr(w, f)) for f in _WINDOW_FIELDS])
+    fh.write("# edgesched-report v1\n")
+    fh.write(f"# policy = {report.policy}\n")
+    fh.write(f"# mode = {report.mode}\n")
+    fh.write(f"# seed = {report.seed}\n")
+    for key, value in sorted(report.config.items()):
+        fh.write(f"# config {key} = {value}\n")
+    writer = csv.writer(fh)
+    writer.writerow(_WINDOW_FIELDS)
+    for w in report.windows:
+        writer.writerow([str(getattr(w, f)) for f in _WINDOW_FIELDS])
 
 
 # How load_report converts the report's provenance lines.
@@ -419,17 +424,18 @@ def build_expert_demos(cfg: ExperimentConfig) -> DemoSet:
 def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     """Execute one full seeded experiment and return its report.
 
-    ``cfg.transitions_out`` is opened before the first slot, once a replay
-    workload has been read and checked, and receives one row per outcome as
-    it completes (N rows per broadcast request).
+    ``cfg.transitions_out`` gets one row per outcome as it completes (N rows
+    per broadcast request) and appears only if the run returns.  A float
+    overflow, invalid value or division by zero raises FloatingPointError.
     """
     cfg.validate()
     variant = resolve_policy(cfg.policy)
     learned = isinstance(variant, AblationSpec)
     deployment = _Deployment(cfg)
-    log_fh = open(cfg.transitions_out, "w") if cfg.transitions_out else None
-    with log_fh or contextlib.nullcontext():
-        deployment.log_fh = log_fh
+    with (
+        jsonl.replacing(cfg.transitions_out) as deployment.log_fh,
+        np.errstate(over="raise", invalid="raise", divide="raise"),
+    ):
         buffer = None
         if learned:
             demos = build_expert_demos(cfg) if variant.use_demos else None
@@ -538,53 +544,35 @@ def cli_main(argv=None) -> int:
         for name, path in outputs.items():
             if path:
                 _check_output_path(name, path, args.config, cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.export_workload:
-        try:
+        if args.export_workload:
             requests = _slot_requests(dataclasses.replace(cfg, workload_file=None))
             slots = range(cfg.train_slots + cfg.test_slots)
             count = save_workload(
                 args.export_workload, [req for s in slots for req in requests(s)]
             )
-        except (ConfigError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {count} requests to {args.export_workload}")
-        return 0
-
-    created = False  # whether this run made the --out file
-    code = 1  # until the run succeeds
-    try:
+            print(f"wrote {count} requests to {args.export_workload}")
+            return 0
+        # Opening the report first fails an unwritable path before the run.
+        with jsonl.replacing(args.out) as out:
+            report = run_experiment(cfg)
+            for phase in (report.train, report.test):
+                print(
+                    f"{phase.phase}: {phase.requests} requests, "
+                    f"mean reward {phase.mean_reward:.4f}, "
+                    f"mean delay {phase.mean_delay:.4f}s, "
+                    f"direct-cloud share {phase.llm_direct_freq:.3f}"
+                )
+            if out is not None:
+                _write_report(report, out)
         if args.out:
-            # Fail before the run, not after it, on an unwritable report path.
-            created = not os.path.lexists(args.out)
-            open(args.out, "a").close()
-        report = run_experiment(cfg)
-        for phase in (report.train, report.test):
-            print(
-                f"{phase.phase}: {phase.requests} requests, "
-                f"mean reward {phase.mean_reward:.4f}, "
-                f"mean delay {phase.mean_delay:.4f}s, "
-                f"direct-cloud share {phase.llm_direct_freq:.3f}"
-            )
-        if args.out:
-            emit_report(report, args.out)
             print(f"report written to {args.out}")
-        code = 0
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        code = 2
-    except (ValueError, GradientError, OSError) as exc:
+        return 2
+    except (ValueError, GradientError, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-    finally:
-        # A failed run of any kind, an interrupt included, leaves no report
-        # file behind, unless the file was there.
-        if code and created and os.path.lexists(args.out):
-            os.remove(args.out)
-    return code
+        return 1
 
 
 def main() -> None:

@@ -1,4 +1,5 @@
-"""Reading input files: one line reader and its field converters.
+"""The package's files: inputs are read here, and every output is written
+through :func:`replacing`, so it appears only when its writer finishes.
 
 Replay workloads, the one JSON-lines input, are read through :func:`rows`,
 CSV reports through :func:`lines`.  :func:`rows` yields each non-blank line
@@ -12,8 +13,10 @@ JSON numbers only: no strings, no booleans, and no fraction in an integer.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from typing import Iterator
 
 import numpy as np
@@ -22,6 +25,29 @@ from .errors import ParseError
 
 _INT_MAX = 2**63 - 1  # int64's maximum, so every integer read fits a numpy int64
 _NUMBER = (int, float)  # json.loads's number types; a bool is not one
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """Yield a text handle whose contents replace ``path`` when the block
+    completes; on any exception, an interrupt included, ``path`` keeps its
+    bytes.  It writes ``<realpath(path)>.<pid>.part``, so a symlink stays
+    one.  No ``path`` yields ``None``; a non-regular ``path`` raises OSError."""
+    if not path:
+        yield None
+        return
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        raise OSError(f"{path}: not a regular file")
+    part = f"{target}.{os.getpid()}.part"
+    fh = open(part, "x", newline="")
+    try:
+        with fh:
+            yield fh
+        os.replace(part, target)
+    except BaseException:
+        os.remove(part)
+        raise
 
 
 def lines(path) -> Iterator[tuple[str, str]]:

@@ -306,6 +306,9 @@ class EdgeEnv:
             store.refresh(row, q, d)
         if resolved != "A":
             store.insert_qa(request.question_vec, answer_vec, request.slot, q - d)
+        r = self.reward(q, d)
+        if not math.isfinite(r):
+            raise FloatingPointError(f"slot {request.slot} server {n}: reward {r} is not finite")
         self.fallback_count += fallback
         self.action_counts[resolved] += 1
         return Transition(
@@ -318,7 +321,7 @@ class EdgeEnv:
             action_prob=action_prob,
             q=q,
             d=d,
-            r=self.reward(q, d),
+            r=r,
             fallback=fallback,
             topic=request.topic,
         )

@@ -249,8 +249,7 @@ class WorkloadGenerator:
 
 def save_workload(path, requests: Sequence[Request]) -> int:
     """Write requests to a JSON-lines file; returns the number written."""
-    count = 0
-    with open(path, "w") as fh:
+    with jsonl.replacing(path) as fh:
         for req in requests:
             row = {
                 "id": req.id,
@@ -262,8 +261,7 @@ def save_workload(path, requests: Sequence[Request]) -> int:
                 "reference_vec": [float(x) for x in req.reference_vec],
             }
             fh.write(json.dumps(row) + "\n")
-            count += 1
-    return count
+    return len(requests)
 
 
 def load_workload(path, dim: int | None = None) -> list[Request]:

@@ -1,6 +1,7 @@
 """Tests for config parsing, metric windows, report files, and the CLI."""
 
 import dataclasses
+import errno
 import functools
 import importlib
 import inspect
@@ -9,6 +10,7 @@ import os
 import re
 import shlex
 import shutil
+import stat
 import string
 import subprocess
 import sys
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 import edgesched
-from edgesched import baselines, harness, seeding, simenv
+from edgesched import baselines, harness, jsonl, seeding, simenv
 from edgesched.baselines import LearnedPolicy, resolve_policy
 from edgesched.config import ExperimentConfig, load_config
 from edgesched.errors import ConfigError, GradientError, ParseError
@@ -1061,6 +1063,25 @@ evict_period = 0
 """
 
 
+class _FailingWrites:
+    """A text file whose third write raises ``fault``."""
+
+    def __init__(self, fh, fault):
+        self._fh, self._fault, self._writes = fh, fault, 0
+
+    def write(self, text):
+        self._writes += 1
+        if self._writes == 3:
+            raise self._fault
+        return self._fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
 class TestCli:
     def write_cfg(self, tmp_path, text=CLI_INI):
         p = tmp_path / "exp.ini"
@@ -1133,7 +1154,7 @@ class TestCli:
             cli_main(["--config", str(p), "--mode", "multicast"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("path_kind", ["out", "transitions_out"])
+    @pytest.mark.parametrize("path_kind", ["out", "transitions_out", "export"])
     def test_unwritable_output_fails_before_the_run(
         self, tmp_path, capsys, monkeypatch, path_kind
     ):
@@ -1145,6 +1166,8 @@ class TestCli:
         text, argv = CLI_INI, []
         if path_kind == "out":
             argv = ["--out", str(missing / "report.csv")]
+        elif path_kind == "export":
+            argv = ["--export-workload", str(missing / "wl.jsonl")]
         else:
             text = CLI_INI.replace(
                 "dim = 16", f"dim = 16\ntransitions_out = {missing / 'log.jsonl'}"
@@ -1152,6 +1175,7 @@ class TestCli:
         p = self.write_cfg(tmp_path, text)
         assert cli_main(["--config", str(p), *argv]) == 1
         assert capsys.readouterr().err.startswith("error:")
+        assert os.listdir(tmp_path) == ["exp.ini"]
 
     def test_bad_replay_row_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
         p = self.write_cfg(tmp_path)
@@ -1426,7 +1450,7 @@ class TestCli:
         assert os.listdir(tmp_path) == ["exp.ini"]
 
     def test_non_finite_report_exits_1_and_leaves_no_report(self, tmp_path, capsys):
-        # rewards overflow to -inf; one server, so np.var sees no inf means
+        # rewards overflow to -inf; the first step stops the run
         text = CLI_INI.replace("policy = random", "policy = greedy-0.3")
         text = text.replace("servers = 2\nusers = 4", "servers = 1\nusers = 1")
         text = text.replace("train_slots = 8\ntest_slots = 4", "train_slots = 20\ntest_slots = 5")
@@ -1434,9 +1458,41 @@ class TestCli:
         out = tmp_path / "r.csv"
         assert cli_main(["--config", str(self.write_cfg(tmp_path, text)), "--out", str(out)]) == 1
         captured = capsys.readouterr()
-        assert "mean reward -inf" in captured.out
-        assert captured.err.startswith("error: train window 0: mean_reward is -inf")
+        assert captured.out == ""
+        assert captured.err == "error: slot 0 server 0: reward -inf is not finite\n"
         assert os.listdir(tmp_path) == ["exp.ini"]
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (
+                "reward_scale = 1e308\ndelay_weight = 1e308\n",  # in [env]
+                "slot 0 server 0: reward -inf is not finite",
+            ),
+            (
+                "[trainer]\nmin_agent_batch = 4\nlr_policy = 1e300\nlr_value = 1e300\n",
+                "overflow encountered in square",
+            ),
+        ],
+        ids=["reward-2-servers", "learning-rate"],
+    )
+    def test_numeric_fault_stops_the_run_and_leaves_every_file(
+        self, tmp_path, capsys, monkeypatch, settings, message
+    ):
+        # the learning-rate case diverges at the first update, after the log
+        # has rows; numpy warnings are errors here, so none was printed
+        text = CLI_INI.replace("policy = random", "policy = mappo")
+        text = text.replace("train_slots = 8\ntest_slots = 4", "train_slots = 20\ntest_slots = 5")
+        text = text.replace("dim = 16", "dim = 16\ntransitions_out = log.jsonl")
+        text += settings
+        (tmp_path / "log.jsonl").write_text('{"an earlier": "log"}\n')
+        (tmp_path / "r.csv").write_text("an earlier report\n")
+        argv = ["--config", str(self.write_cfg(tmp_path, text)), "--out", "r.csv"]
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize(
         "fault", [GradientError("non-finite gradient"), KeyboardInterrupt()],
@@ -1458,6 +1514,91 @@ class TestCli:
             assert cli_main(argv) == 1
             assert capsys.readouterr().err == "error: non-finite gradient\n"
         assert os.listdir(tmp_path) == ["exp.ini"]
+
+    @pytest.mark.parametrize(
+        "fault", [OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()],
+        ids=["disk-full", "interrupt"],
+    )
+    @pytest.mark.parametrize("output", ["--out", "transitions_out", "--export-workload"])
+    def test_failed_write_leaves_the_earlier_output(
+        self, tmp_path, capsys, monkeypatch, output, fault
+    ):
+        def failing_open(*args, **kwargs):
+            return _FailingWrites(open(*args, **kwargs), fault)
+
+        text, argv = CLI_INI, ["--config", "exp.ini"]
+        if output == "transitions_out":
+            text = CLI_INI.replace("dim = 16", "dim = 16\ntransitions_out = earlier.txt")
+        else:
+            argv += [output, "earlier.txt"]
+        self.write_cfg(tmp_path, text)
+        (tmp_path / "earlier.txt").write_text("an earlier output\n")
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(jsonl, "open", failing_open, raising=False)
+        if isinstance(fault, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                cli_main(argv)
+        else:
+            assert cli_main(argv) == 1
+            assert capsys.readouterr().err == f"error: {fault}\n"
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
+    def test_symlinked_report_keeps_its_link(self, tmp_path):
+        (tmp_path / "real.csv").write_text("an earlier report\n")
+        (tmp_path / "link.csv").symlink_to("real.csv")
+        argv = ["--config", str(self.write_cfg(tmp_path)), "--out", str(tmp_path / "link.csv")]
+        assert cli_main(argv) == 0
+        assert os.readlink(tmp_path / "link.csv") == "real.csv"
+        assert load_report(tmp_path / "real.csv").policy == "random"
+        assert sorted(os.listdir(tmp_path)) == ["exp.ini", "link.csv", "real.csv"]
+
+    def test_new_outputs_follow_the_umask(self, tmp_path, monkeypatch):
+        self.write_cfg(tmp_path, CLI_INI.replace("dim = 16", "dim = 16\ntransitions_out = log.jsonl"))
+        monkeypatch.chdir(tmp_path)
+        umask = os.umask(0o022)
+        try:
+            assert cli_main(["--config", "exp.ini", "--out", "r.csv"]) == 0
+            assert cli_main(["--config", "exp.ini", "--export-workload", "wl.jsonl"]) == 0
+        finally:
+            os.umask(umask)
+        for name in ("r.csv", "log.jsonl", "wl.jsonl"):
+            assert stat.S_IMODE(os.stat(name).st_mode) == 0o644, name
+
+    @pytest.mark.parametrize("kind", ["directory", "fifo"])
+    @pytest.mark.parametrize("output", ["--out", "transitions_out", "--export-workload"])
+    def test_non_regular_output_fails_before_the_run(
+        self, tmp_path, capsys, monkeypatch, output, kind
+    ):
+        def slot_loop(*args, **kwargs):
+            raise AssertionError("slot loop entered with a non-regular output")
+
+        target = tmp_path / "target"
+        if kind == "directory":
+            target.mkdir()
+        else:
+            os.mkfifo(target)
+        text, argv = CLI_INI, ["--config", "exp.ini"]
+        if output == "transitions_out":
+            text = CLI_INI.replace("dim = 16", "dim = 16\ntransitions_out = target")
+        else:
+            argv += [output, "target"]
+        self.write_cfg(tmp_path, text)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(harness._Deployment, "play", slot_loop)
+        # An open reader keeps a writer's open of the FIFO from blocking.
+        reader = os.open(target, os.O_RDONLY | os.O_NONBLOCK) if kind == "fifo" else None
+        try:
+            assert cli_main(argv) == 1
+        finally:
+            if reader is not None:
+                os.close(reader)
+        assert capsys.readouterr().err == "error: target: not a regular file\n"
+        is_kind = stat.S_ISDIR if kind == "directory" else stat.S_ISFIFO
+        assert is_kind(os.lstat(target).st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["exp.ini", "target"]
+        if kind == "directory":
+            assert os.listdir(target) == []
 
     def test_export_workload(self, tmp_path, capsys):
         p = self.write_cfg(tmp_path)

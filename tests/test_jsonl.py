@@ -1,10 +1,12 @@
-"""Tests for the shared JSON-lines reader and the workload and report readers.
+"""Tests for the package's file module: the shared reader, the workload and
+report readers, and the rule that every output is written by one helper.
 
 Every malformed input file must fail as :class:`ParseError` naming the file
 and line, never as a raw ``KeyError``/``ValueError`` from deep inside a
 reader, and never load non-finite numbers or negative ids.
 """
 
+import ast
 import json
 import math
 import re
@@ -170,6 +172,50 @@ def test_non_finite_window_value_is_refused_before_the_file_opens(tmp_path, fiel
     with pytest.raises(ValueError, match=f"^test window 3: {field} is {value}; "):
         emit_report(report, path)
     assert not path.exists()
+
+
+# -- the one writer ------------------------------------------------------------
+
+
+def _write_calls(tree: ast.Module) -> list[str]:
+    """The enclosing function of every call in ``tree`` that opens a file to
+    write: ``open(path, mode)``, ``x.open(mode)`` or a mode given by keyword,
+    where the mode holds w, a, x or + or is not a literal, and
+    ``write_text``/``write_bytes``."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("write_text", "write_bytes"):
+                    found.append(function)
+                elif name == "open":
+                    at = 1 if isinstance(func, ast.Name) else 0
+                    modes = [k.value for k in child.keywords if k.arg == "mode"]
+                    modes += child.args[at : at + 1]
+                    for mode in modes:
+                        literal = isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                        if not literal or set(mode.value) & set("wax+"):
+                            found.append(function)
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_every_output_is_opened_by_replacing():
+    package = Path(jsonl.__file__).parent
+    found = [
+        (str(path.relative_to(package)), function)
+        for path in sorted(package.rglob("*.py"))
+        for function in _write_calls(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == [("jsonl.py", "replacing")]
 
 
 READERS = {

@@ -2,7 +2,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from edgesched.errors import EmptyCorrelationError
 from edgesched.marl import correlation_features
@@ -461,11 +461,22 @@ class TestStoreProperties:
 
     @_PROPERTY_SETTINGS
     @given(ops=_OPS)
+    # The rounded mean of -1.0 and the next float up is -1.0: all four stay.
+    @example(
+        ops=[
+            ("insert", np.zeros(_DIM), np.ones(_DIM), -1.0),
+            ("insert", np.ones(_DIM), np.zeros(_DIM), np.nextafter(-1.0, 0.0)),
+        ]
+    )
     def test_eviction_drops_exactly_the_records_below_the_mean(self, ops):
         def on_evict(pre, mean, dropped):
             below = {rid for rid, v in pre.items() if v < mean}
             if pre:
                 assert mean == pytest.approx(float(np.mean(list(pre.values()))))
+                low, high = min(pre.values()), max(pre.values())
+                assert low <= mean <= high
+                # a sweep drops a record exactly when the mean is above the minimum
+                assert (dropped >= 1) == (mean > low)
             assert dropped == len(below)
             assert {r.rid for r in store.records()} == set(pre) - below
 
